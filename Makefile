@@ -4,7 +4,7 @@
 GO ?= go
 SIMLINT := bin/simlint
 
-.PHONY: build test race simcheck lint lint-fix-list lint-hotzero-list vet fmt-check check clean bench-json bench-compare fault-smoke sweep-smoke metrics-smoke decisions-smoke graph graph-check
+.PHONY: build test race simcheck lint lint-fix-list lint-hotzero-list vet fmt-check check clean bench-json bench-compare bench-check fault-smoke sweep-smoke metrics-smoke decisions-smoke graph graph-check
 
 build:
 	$(GO) build ./...
@@ -88,6 +88,14 @@ bench-json:
 bench-compare:
 	$(GO) run ./cmd/benchjson -compare BENCH_PR3.json -against $(BENCH_JSON)
 
+# The repository benchmark (perfbench/, see BENCHMARK.json) is its own
+# Go module, so the root `go build ./...` and `go test ./...` never
+# compile it. Vet and self-test it here so an API change that breaks
+# the benchmark fails the build.
+bench-check:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
+
 # Degraded-mode smoke: the degraded-array study (reference fault plan,
 # reduced 2x4 geometry) written to FAULT_TABLE, plus the faulted golden
 # replay and the fault lifecycle tests with the simcheck leak ledger
@@ -149,7 +157,7 @@ decisions-smoke:
 		-v ./internal/experiments/
 	$(GO) test ./internal/decision/
 
-check: build fmt-check vet lint graph-check test race simcheck
+check: build fmt-check vet lint graph-check test bench-check race simcheck
 
 clean:
 	rm -rf bin

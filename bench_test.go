@@ -491,11 +491,22 @@ func BenchmarkSweepFig12x16Parallel(b *testing.B) {
 
 // --- Substrate microbenchmarks.
 
+// nopReceiver is a pre-bound event handler, resource grantee and NAND
+// completion receiver, as the simulator's pooled states are: the
+// substrate benchmarks time the engine, resource and die, not a
+// callback.
+type nopReceiver struct{}
+
+func (*nopReceiver) OnEvent(uint64)              {}
+func (*nopReceiver) OnGrant(uint64, simx.Time)   {}
+func (*nopReceiver) OnNandDone(simx.Time, error) {}
+
 func BenchmarkEngineScheduleFire(b *testing.B) {
 	eng := simx.NewEngine()
+	h := &nopReceiver{}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		eng.Schedule(1, func() {})
+		eng.ScheduleEvent(1, h, 0)
 		eng.Step()
 	}
 }
@@ -503,9 +514,10 @@ func BenchmarkEngineScheduleFire(b *testing.B) {
 func BenchmarkResourceAcquireRelease(b *testing.B) {
 	eng := simx.NewEngine()
 	r := simx.NewResource(eng, "bench", 1)
+	g := &nopReceiver{}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r.Acquire(func(simx.Time) {})
+		r.AcquireG(g, 0)
 		r.Release()
 	}
 }
@@ -539,13 +551,14 @@ func BenchmarkFTLWriteAllocate(b *testing.B) {
 func BenchmarkNandReadOp(b *testing.B) {
 	eng := simx.NewEngine()
 	pk := nand.NewPackage(eng, nand.DefaultParams())
-	a := nand.Addr{}
-	pk.Program([]nand.Addr{a}, func(simx.Time, error) {})
+	addrs := []nand.Addr{{}}
+	d := &nopReceiver{}
+	pk.ProgramOp(addrs, d)
 	eng.Run()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pk.Read([]nand.Addr{a}, func(simx.Time, error) {})
+		pk.ReadOp(addrs, d)
 		eng.Run()
 	}
 }

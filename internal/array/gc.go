@@ -39,7 +39,7 @@ func (a *Array) gcStep(id topo.FIMMID) {
 	if a.cfg.OpportunisticGC && a.ftl.MinFreeBlocks(id) > 1 &&
 		a.clusterBusUtil(id.ClusterID) > 0.5 {
 		a.gcDeferrals++
-		a.eng.Schedule(utilWindow, func() { a.gcStep(id) })
+		a.eng.ScheduleEvent(utilWindow, (*gcRetry)(a), uint64(flat))
 		return
 	}
 	plan, ok := a.ftl.PlanGC(id, a.gcVeto)
@@ -53,6 +53,17 @@ func (a *Array) gcStep(id topo.FIMMID) {
 			a.gcStep(id) // keep collecting while pressured
 		})
 	})
+}
+
+// gcRetry is the Array as the handler of deferred GC steps; the
+// conversion lets the deferral ride a pooled event without adding a
+// handler method to Array's exported API.
+type gcRetry Array
+
+// OnEvent implements simx.Handler: resume GC on flat FIMM id arg.
+func (g *gcRetry) OnEvent(arg uint64) { //simlint:cold garbage collection runs per reclaimed block, not per event
+	a := (*Array)(g)
+	a.gcStep(topo.FIMMFromFlat(a.cfg.Geometry, int(arg)))
 }
 
 // execGCMoves relocates plan.Moves[i:] one at a time, then calls done.

@@ -739,12 +739,12 @@ func (ep *Endpoint) Erase(fimmSlot, pkg int, addrs []nand.Addr, done func(error)
 		done(fmt.Errorf("cluster %v: %w", ep.id, ErrUnplugged))
 		return
 	}
-	ep.fimms[fimmSlot].Erase(pkg, addrs, func(r fimm.Result) {
+	ep.fimms[fimmSlot].EraseOp(pkg, addrs, fimm.DoneFunc(func(r fimm.Result) {
 		if r.Err == nil {
 			ep.stats.Erases++
 		}
 		done(r.Err)
-	})
+	}))
 }
 
 // routeAddr reports the fabric address identifying this cluster, used

@@ -74,11 +74,15 @@ func Attach(a *array.Array, p Plan, opt Options) *Injector {
 	a.ArmFaults()
 	a.SetFaultRecovery(opt.Recover)
 	eng := a.Engine()
-	for _, ev := range inj.events {
-		ev := ev
-		eng.At(ev.At, func() { inj.apply(ev) })
+	for i, ev := range inj.events {
+		eng.AtEvent(ev.At, inj, uint64(i))
 	}
 	return inj
+}
+
+// OnEvent implements simx.Handler: deliver planned event arg.
+func (inj *Injector) OnEvent(arg uint64) { //simlint:cold fault injection: one event per planned fault
+	inj.apply(inj.events[arg])
 }
 
 // Stats reports what has been injected and recovered so far.

@@ -13,9 +13,9 @@ import (
 // with errors.Is by the endpoint/array error paths.
 var ErrDead = errors.New("fimm: module dead")
 
-// Kill makes the module stop responding: every future Read/Program/
-// Erase completes immediately with ErrDead (before any pooled state is
-// minted, so fault paths cannot leak fimm.fop nodes). Operations
+// Kill makes the module stop responding: every future ReadOp/
+// ProgramOp/EraseOp completes immediately with ErrDead (before any
+// pooled state is minted, so fault paths cannot leak fimm.fop nodes). Operations
 // already in flight run to completion — the module's last committed
 // work drains, matching a module that loses its link rather than its
 // in-progress silicon state.

@@ -104,14 +104,13 @@ type Stats struct {
 	MaxBlockWear int
 }
 
-// Done is the typed completion receiver for FIMM operations — the
-// zero-allocation alternative to the func callbacks.
+// Done is the completion receiver for FIMM operations.
 type Done interface {
 	OnFIMMDone(r Result)
 }
 
-// DoneFunc adapts a plain function to Done for cold paths and tests
-// (the conversion allocates).
+// DoneFunc adapts a plain function to Done for cold paths such as GC
+// erases (the conversion allocates).
 type DoneFunc func(r Result)
 
 // OnFIMMDone implements Done.
@@ -133,11 +132,11 @@ type FIMM struct {
 	stats Stats
 }
 
-// fop is the pooled per-operation state for the typed read/program
-// paths: it receives the cell completion (nand.Done), queues for the
-// shared channel (simx.Grantee), and rides the transfer event
-// (simx.Handler). The op field selects the branch: reads run
-// cell → channel, programs run channel → cell.
+// fop is the pooled per-operation state: it receives the cell
+// completion (nand.Done), queues for the shared channel (simx.Grantee),
+// and rides the transfer event (simx.Handler). The op field selects the
+// branch: reads run cell → channel, programs run channel → cell, and
+// erases run the cell only.
 type fop struct {
 	f     *FIMM
 	op    nand.Op
@@ -187,7 +186,13 @@ func (st *fop) OnNandDone(texe simx.Time, err error) {
 			ChannelXfer: st.xfer,
 		})
 	case nand.OpErase:
-		panic("fimm: erase on pooled op path")
+		if err != nil {
+			st.finish(Result{Err: err})
+			return
+		}
+		st.wait, st.cell = splitDeviceTime(texe, f.cellTime(nand.OpErase, len(st.addrs)))
+		f.stats.Erases += uint64(len(st.addrs))
+		st.finish(Result{StorageWait: st.wait, Texe: st.cell})
 	}
 }
 
@@ -198,25 +203,23 @@ func (st *fop) OnGrant(arg uint64, waited simx.Time) {
 }
 
 // OnEvent implements simx.Handler: the channel transfer finished.
+// Erases never move data, so only reads and programs get here.
 func (st *fop) OnEvent(arg uint64) {
 	f := st.f
 	f.channel.Release()
-	switch st.op {
-	case nand.OpRead:
-		f.stats.Reads += uint64(len(st.addrs))
-		f.stats.BytesMoved += units.PagesToBytes(units.Pages(len(st.addrs)), f.params.Nand.PageSizeBytes)
-		st.finish(Result{
-			StorageWait: st.wait,
-			Texe:        st.cell,
-			ChannelWait: st.chW,
-			ChannelXfer: st.xfer,
-		})
-	case nand.OpProgram:
+	if st.op == nand.OpProgram {
 		// Data is in the package's register; program the cells.
 		f.packages[st.pkg].ProgramOp(st.addrs, st)
-	case nand.OpErase:
-		panic("fimm: erase on pooled op path")
+		return
 	}
+	f.stats.Reads += uint64(len(st.addrs))
+	f.stats.BytesMoved += units.PagesToBytes(units.Pages(len(st.addrs)), f.params.Nand.PageSizeBytes)
+	st.finish(Result{
+		StorageWait: st.wait,
+		Texe:        st.cell,
+		ChannelWait: st.chW,
+		ChannelXfer: st.xfer,
+	})
 }
 
 func (f *FIMM) newOp(op nand.Op, pkg int, addrs []nand.Addr, d Done) *fop {
@@ -307,33 +310,30 @@ func (f *FIMM) Stats() Stats {
 	return s
 }
 
-func (f *FIMM) checkPkg(pkg int) error {
-	if pkg < 0 || pkg >= len(f.packages) {
-		return fmt.Errorf("fimm: package %d out of range [0,%d)", pkg, len(f.packages)) //simlint:coldalloc error path: package index out of range
-	}
-	return nil
-}
-
-// Read performs a cell read on the addressed package then moves the
-// pages across the shared channel. done receives the timing split.
-func (f *FIMM) Read(pkg int, addrs []nand.Addr, done func(Result)) {
-	if done == nil {
-		panic("fimm: nil done callback")
-	}
-	f.ReadOp(pkg, addrs, DoneFunc(done))
-}
-
-// ReadOp is the typed, allocation-free Read.
-func (f *FIMM) ReadOp(pkg int, addrs []nand.Addr, d Done) {
+// refuse completes d with an error and reports true when an operation
+// cannot start: the package index is out of range or the module died.
+func (f *FIMM) refuse(op nand.Op, pkg int, d Done) bool {
 	if d == nil {
 		panic("fimm: nil done receiver")
 	}
-	if err := f.checkPkg(pkg); err != nil {
-		d.OnFIMMDone(Result{Err: err})
-		return
+	var err error
+	switch {
+	case pkg < 0 || pkg >= len(f.packages):
+		err = fmt.Errorf("fimm: package %d out of range [0,%d)", pkg, len(f.packages)) //simlint:coldalloc error path: package index out of range
+	case f.dead:
+		err = fmt.Errorf("fimm: %v: %w", op, ErrDead) //simlint:coldalloc fault path: dead-module error
+	default:
+		return false
 	}
-	if f.dead {
-		d.OnFIMMDone(Result{Err: fmt.Errorf("fimm: read: %w", ErrDead)}) //simlint:coldalloc fault path: dead-module error
+	d.OnFIMMDone(Result{Err: err})
+	return true
+}
+
+// ReadOp performs a cell read on the addressed package then moves the
+// pages across the shared channel. d receives the timing split; addrs
+// is borrowed until then.
+func (f *FIMM) ReadOp(pkg int, addrs []nand.Addr, d Done) {
+	if f.refuse(nand.OpRead, pkg, d) {
 		return
 	}
 	st := f.newOp(nand.OpRead, pkg, addrs, d)
@@ -341,31 +341,25 @@ func (f *FIMM) ReadOp(pkg int, addrs []nand.Addr, d Done) {
 	f.packages[pkg].ReadOp(addrs, st)
 }
 
-// Program moves the pages across the channel into the package's data
+// ProgramOp moves the pages across the channel into the package's data
 // register, then programs the cells.
-func (f *FIMM) Program(pkg int, addrs []nand.Addr, done func(Result)) {
-	if done == nil {
-		panic("fimm: nil done callback")
-	}
-	f.ProgramOp(pkg, addrs, DoneFunc(done))
-}
-
-// ProgramOp is the typed, allocation-free Program.
 func (f *FIMM) ProgramOp(pkg int, addrs []nand.Addr, d Done) {
-	if d == nil {
-		panic("fimm: nil done receiver")
-	}
-	if err := f.checkPkg(pkg); err != nil {
-		d.OnFIMMDone(Result{Err: err})
-		return
-	}
-	if f.dead {
-		d.OnFIMMDone(Result{Err: fmt.Errorf("fimm: program: %w", ErrDead)}) //simlint:coldalloc fault path: dead-module error
+	if f.refuse(nand.OpProgram, pkg, d) {
 		return
 	}
 	st := f.newOp(nand.OpProgram, pkg, addrs, d)
 	st.xfer = f.xferTime(len(addrs))
 	f.channel.AcquireG(st, 0)
+}
+
+// EraseOp erases blocks on the addressed package. Erases move no data,
+// so the channel is never involved.
+func (f *FIMM) EraseOp(pkg int, addrs []nand.Addr, d Done) {
+	if f.refuse(nand.OpErase, pkg, d) {
+		return
+	}
+	st := f.newOp(nand.OpErase, pkg, addrs, d)
+	f.packages[pkg].EraseOp(addrs, st)
 }
 
 // splitDeviceTime decomposes a device-observed time into (queueing,
@@ -376,30 +370,6 @@ func splitDeviceTime(observed, nominal simx.Time) (wait, cell simx.Time) {
 		return 0, observed
 	}
 	return observed - nominal, nominal
-}
-
-// Erase erases blocks on the addressed package.
-func (f *FIMM) Erase(pkg int, addrs []nand.Addr, done func(Result)) {
-	if done == nil {
-		panic("fimm: nil done callback")
-	}
-	if err := f.checkPkg(pkg); err != nil {
-		done(Result{Err: err})
-		return
-	}
-	if f.dead {
-		done(Result{Err: fmt.Errorf("fimm: erase: %w", ErrDead)})
-		return
-	}
-	f.packages[pkg].Erase(addrs, func(texe simx.Time, err error) {
-		if err != nil {
-			done(Result{Err: err})
-			return
-		}
-		wait, cell := splitDeviceTime(texe, f.cellTime(nand.OpErase, len(addrs)))
-		f.stats.Erases += uint64(len(addrs))
-		done(Result{StorageWait: wait, Texe: cell})
-	})
 }
 
 // cellTime reports the nominal (queue-free) cell time of an op.

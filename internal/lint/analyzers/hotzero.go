@@ -104,12 +104,8 @@ var hotDispatchMethods = map[string]bool{
 // belong in code review.
 var hotCertified = []funcRef{
 	// simx engine surface invoked per event
-	// Engine.Schedule/At is deliberately NOT here: the closure-event
-	// API allocates an Event per call and is the cold scheduling path
-	// (hot code pre-binds Grantees and pooled events instead).
 	{"internal/simx", "Engine", "Now"},
 	{"internal/simx", "Engine", "Step"},
-	{"internal/simx", "Engine", "pop"},
 	{"internal/simx", "eventHeap", "Len"},
 	{"internal/simx", "eventHeap", "Less"},
 	{"internal/simx", "eventHeap", "Swap"},

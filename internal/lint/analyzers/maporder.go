@@ -13,7 +13,8 @@ import (
 // simulation events, enqueue work, or build ordered output.
 var orderSinkCalls = map[string]bool{
 	// event scheduling / work dispatch
-	"Schedule": true, "At": true, "Submit": true, "Enqueue": true,
+	"ScheduleEvent": true, "AtEvent": true, "AcquireG": true,
+	"Submit": true, "Enqueue": true,
 	"Push": true, "Dispatch": true, "Send": true, "Emit": true,
 	// ordered output construction
 	"AddRow": true, "Record": true,

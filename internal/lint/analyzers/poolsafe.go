@@ -84,7 +84,7 @@ var poolTable = []*poolSpec{
 		releases: []funcRef{{"internal/array", "Array", "recycleRef"}},
 	},
 	{
-		name: "simx.Event", pkg: "internal/simx", typ: "Event",
+		name: "simx.event", pkg: "internal/simx", typ: "event",
 		acquires: []funcRef{{"internal/simx", "Engine", "newEvent"}},
 		releases: []funcRef{{"internal/simx", "Engine", "recycle"}},
 	},

@@ -16,7 +16,7 @@ import (
 // so easy: simx.Time(d) for a time.Duration d compiles and "works"
 // until someone changes either side's unit. Conversions must go
 // through the audited bridge (simx.FromDuration / Time.Duration).
-// Likewise a bare literal — eng.Schedule(500, fn) — hides its unit;
+// Likewise a bare literal — eng.ScheduleEvent(500, h, 0) — hides its unit;
 // write 500*simx.Nanosecond. The literals 0 and -1 stay legal as the
 // conventional zero/sentinel values. Test files are exempt: fixtures
 // pin small literal timestamps on purpose, and the unit-drift hazard

@@ -11,10 +11,21 @@ import (
 	"triplea/internal/simx"
 )
 
-func scheduleFromMap(eng *simx.Engine, pending map[int]func()) {
-	for id, fn := range pending { // want `map iteration order is nondeterministic but the body calls Schedule`
-		_ = id
-		eng.Schedule(simx.Microsecond, fn)
+func scheduleFromMap(eng *simx.Engine, pending map[int]simx.Handler) {
+	for id, h := range pending { // want `map iteration order is nondeterministic but the body calls ScheduleEvent`
+		eng.ScheduleEvent(simx.Microsecond, h, uint64(id))
+	}
+}
+
+func atFromMap(eng *simx.Engine, due map[simx.Time]simx.Handler) {
+	for t, h := range due { // want `map iteration order is nondeterministic but the body calls AtEvent`
+		eng.AtEvent(t, h, 0)
+	}
+}
+
+func acquireFromMap(r *simx.Resource, waiting map[uint64]simx.Grantee) {
+	for arg, g := range waiting { // want `map iteration order is nondeterministic but the body calls AcquireG`
+		r.AcquireG(g, arg)
 	}
 }
 
@@ -46,14 +57,14 @@ func visitAll(m map[int]int, visit func(int)) {
 
 // sortThenRange is the canonical fix: collecting keys is pure, and the
 // ordered work happens over the sorted slice.
-func sortThenRange(eng *simx.Engine, pending map[int]func()) {
+func sortThenRange(eng *simx.Engine, pending map[int]simx.Handler) {
 	keys := make([]int, 0, len(pending))
 	for k := range pending {
 		keys = append(keys, k)
 	}
 	sort.Ints(keys)
 	for _, k := range keys {
-		eng.Schedule(simx.Microsecond, pending[k])
+		eng.ScheduleEvent(simx.Microsecond, pending[k], uint64(k))
 	}
 }
 

@@ -23,12 +23,12 @@ func conversions(d time.Duration, t simx.Time) {
 	_ = int64(t)         // plain integer escape is not the analyzer's business
 }
 
-func arguments(eng *simx.Engine, fn func()) {
-	eng.Schedule(500, fn) // want `bare numeric literal used as simx\.Time in argument`
-	eng.At(1000, fn)      // want `bare numeric literal used as simx\.Time in argument`
-	eng.Schedule(500*simx.Nanosecond, fn)
-	eng.At(0, fn)
-	eng.Schedule(simx.Millisecond, fn)
+func arguments(eng *simx.Engine, h simx.Handler) {
+	eng.ScheduleEvent(500, h, 0) // want `bare numeric literal used as simx\.Time in argument`
+	eng.AtEvent(1000, h, 0)      // want `bare numeric literal used as simx\.Time in argument`
+	eng.ScheduleEvent(500*simx.Nanosecond, h, 0)
+	eng.AtEvent(0, h, 0)
+	eng.ScheduleEvent(simx.Millisecond, h, 0)
 }
 
 func declarations() {

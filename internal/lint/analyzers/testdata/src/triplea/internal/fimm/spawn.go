@@ -10,9 +10,9 @@ import (
 
 var mu sync.Mutex
 
-func spawn(eng *simx.Engine, fn func()) {
-	go fn() // want `go statement outside the orchestration scope`
-	eng.Schedule(simx.Microsecond, fn)
+func spawn(eng *simx.Engine, h simx.Handler) {
+	go h.OnEvent(0) // want `go statement outside the orchestration scope`
+	eng.ScheduleEvent(simx.Microsecond, h, 0)
 }
 
 func channels(done chan int) {

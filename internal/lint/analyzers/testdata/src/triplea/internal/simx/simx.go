@@ -1,6 +1,6 @@
 // Package simx is a miniature stand-in for the repository's real
 // internal/simx, giving fixtures the Time type, unit constants, and
-// Engine scheduling surface the analyzers key on.
+// the Engine/Resource scheduling surface the analyzers key on.
 package simx
 
 type Time int64
@@ -12,7 +12,11 @@ const (
 	Second      Time = 1000 * Millisecond
 )
 
-type Event struct{}
+type Handler interface{ OnEvent(arg uint64) }
+
+type Grantee interface {
+	OnGrant(arg uint64, waited Time)
+}
 
 type Engine struct{ now Time }
 
@@ -20,9 +24,13 @@ func NewEngine() *Engine { return &Engine{} }
 
 func (e *Engine) Now() Time { return e.now }
 
-func (e *Engine) Schedule(delay Time, fn func()) *Event { return &Event{} }
+func (e *Engine) ScheduleEvent(delay Time, h Handler, arg uint64) {}
 
-func (e *Engine) At(t Time, fn func()) *Event { return &Event{} }
+func (e *Engine) AtEvent(t Time, h Handler, arg uint64) {}
+
+type Resource struct{ inUse int }
+
+func (r *Resource) AcquireG(g Grantee, arg uint64) {}
 
 type RNG struct{ state uint64 }
 

@@ -15,8 +15,19 @@ func (l *Link) SetRateScale(s float64) { l.rateScale = s }
 // behind them (and everything submitted during the window) queues at
 // the sender exactly like a real LTSSM Recovery excursion. Flow-control
 // credits are unaffected, so nothing is dropped.
+// The window's length rides the grant's arg, so overlapping retrains
+// each keep their own.
 func (l *Link) Retrain(d simx.Time) {
-	l.wire.Acquire(func(waited simx.Time) {
-		l.eng.Schedule(d, l.wire.Release)
-	})
+	l.wire.AcquireG(l, uint64(d))
+}
+
+// OnGrant implements simx.Grantee for Retrain: the wire is held; free
+// it when the window of arg nanoseconds closes.
+func (l *Link) OnGrant(arg uint64, _ simx.Time) {
+	l.eng.ScheduleEvent(simx.Time(arg), l, 0)
+}
+
+// OnEvent implements simx.Handler for Retrain: the window closed.
+func (l *Link) OnEvent(uint64) {
+	l.wire.Release()
 }

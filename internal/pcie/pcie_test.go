@@ -376,3 +376,26 @@ func TestPropertyLinkConservation(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestRetrainOverlappingWindows requests two retrains at once: they
+// hold the wire back to back, each for its own window, and a packet
+// sent meanwhile serialises only after both.
+func TestRetrainOverlappingWindows(t *testing.T) {
+	eng := simx.NewEngine()
+	s := &sink{autoACK: true}
+	l := NewLink(eng, "l", 1_000_000_000, 0, 4, s) // 1 GB/s, no propagation
+	l.Retrain(10 * simx.Microsecond)
+	l.Retrain(3 * simx.Microsecond)
+	l.Send(&Packet{Payload: 1000}, nil)
+	eng.Run()
+	if len(s.pkts) != 1 {
+		t.Fatalf("delivered %d packets, want 1", len(s.pkts))
+	}
+	want := 13*simx.Microsecond + l.TransferTime(1000)
+	if eng.Now() != want {
+		t.Errorf("packet delivered at %v, want %v (both windows, then the transfer)", eng.Now(), want)
+	}
+	if l.BusyNS() != want {
+		t.Errorf("wire busy %v, want %v", l.BusyNS(), want)
+	}
+}

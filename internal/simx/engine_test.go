@@ -34,9 +34,9 @@ func TestTimeMicros(t *testing.T) {
 func TestScheduleOrdering(t *testing.T) {
 	eng := NewEngine()
 	var order []int
-	eng.Schedule(30, func() { order = append(order, 3) })
-	eng.Schedule(10, func() { order = append(order, 1) })
-	eng.Schedule(20, func() { order = append(order, 2) })
+	schedule(eng, 30, func() { order = append(order, 3) })
+	schedule(eng, 10, func() { order = append(order, 1) })
+	schedule(eng, 20, func() { order = append(order, 2) })
 	eng.Run()
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("events fired in order %v, want [1 2 3]", order)
@@ -51,7 +51,7 @@ func TestSameInstantFIFO(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		eng.Schedule(5, func() { order = append(order, i) })
+		schedule(eng, 5, func() { order = append(order, i) })
 	}
 	eng.Run()
 	for i, v := range order {
@@ -64,49 +64,13 @@ func TestSameInstantFIFO(t *testing.T) {
 func TestNestedScheduling(t *testing.T) {
 	eng := NewEngine()
 	var hits []Time
-	eng.Schedule(10, func() {
+	schedule(eng, 10, func() {
 		hits = append(hits, eng.Now())
-		eng.Schedule(5, func() { hits = append(hits, eng.Now()) })
+		schedule(eng, 5, func() { hits = append(hits, eng.Now()) })
 	})
 	eng.Run()
 	if len(hits) != 2 || hits[0] != 10 || hits[1] != 15 {
 		t.Fatalf("hits = %v, want [10 15]", hits)
-	}
-}
-
-func TestCancel(t *testing.T) {
-	eng := NewEngine()
-	fired := false
-	ev := eng.Schedule(10, func() { fired = true })
-	eng.Cancel(ev)
-	eng.Cancel(ev) // double-cancel is a no-op
-	eng.Run()
-	if fired {
-		t.Error("cancelled event fired")
-	}
-	if eng.Fired() != 0 {
-		t.Errorf("Fired() = %d, want 0", eng.Fired())
-	}
-}
-
-func TestCancelOneOfMany(t *testing.T) {
-	eng := NewEngine()
-	var got []int
-	evs := make([]*Event, 5)
-	for i := 0; i < 5; i++ {
-		i := i
-		evs[i] = eng.Schedule(Time(i+1), func() { got = append(got, i) })
-	}
-	eng.Cancel(evs[2])
-	eng.Run()
-	want := []int{0, 1, 3, 4}
-	if len(got) != len(want) {
-		t.Fatalf("fired %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("fired %v, want %v", got, want)
-		}
 	}
 }
 
@@ -115,7 +79,7 @@ func TestRunUntil(t *testing.T) {
 	var fired []Time
 	for _, d := range []Time{10, 20, 30, 40} {
 		d := d
-		eng.Schedule(d, func() { fired = append(fired, d) })
+		schedule(eng, d, func() { fired = append(fired, d) })
 	}
 	eng.RunUntil(25)
 	if len(fired) != 2 {
@@ -141,22 +105,22 @@ func TestRunForAdvancesClock(t *testing.T) {
 func TestNegativeDelayPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("Schedule(-1) did not panic")
+			t.Error("ScheduleEvent(-1) did not panic")
 		}
 	}()
-	NewEngine().Schedule(-1, func() {})
+	schedule(NewEngine(), -1, func() {})
 }
 
 func TestAtBeforeNowPanics(t *testing.T) {
 	eng := NewEngine()
-	eng.Schedule(10, func() {})
+	schedule(eng, 10, func() {})
 	eng.Run()
 	defer func() {
 		if recover() == nil {
-			t.Error("At(past) did not panic")
+			t.Error("AtEvent(past) did not panic")
 		}
 	}()
-	eng.At(5, func() {})
+	eng.AtEvent(5, funcHandler(func() {}), 0)
 }
 
 func TestStepReturnsFalseWhenEmpty(t *testing.T) {
@@ -178,7 +142,7 @@ func TestPropertyEventOrdering(t *testing.T) {
 			if d > max {
 				max = d
 			}
-			eng.Schedule(d, func() { fired = append(fired, eng.Now()) })
+			schedule(eng, d, func() { fired = append(fired, eng.Now()) })
 		}
 		eng.Run()
 		if len(fired) != len(delays) {
@@ -198,15 +162,27 @@ func TestPropertyEventOrdering(t *testing.T) {
 
 func TestEngineIntrospection(t *testing.T) {
 	eng := NewEngine()
-	ev := eng.Schedule(25, func() {})
-	if ev.When() != 25 {
-		t.Errorf("When = %v", ev.When())
-	}
-	if eng.Pending() != 1 {
-		t.Errorf("Pending = %d", eng.Pending())
+	schedule(eng, 25, func() {})
+	schedule(eng, 30, func() {})
+	if eng.Fired() != 0 || eng.EventPoolFree() != 0 {
+		t.Errorf("before run: Fired = %d, EventPoolFree = %d", eng.Fired(), eng.EventPoolFree())
 	}
 	eng.Run()
-	if eng.Pending() != 0 {
-		t.Errorf("Pending after run = %d", eng.Pending())
+	if eng.Fired() != 2 {
+		t.Errorf("Fired after run = %d, want 2", eng.Fired())
 	}
+	if eng.EventPoolFree() != 2 {
+		t.Errorf("EventPoolFree after run = %d, want 2", eng.EventPoolFree())
+	}
+}
+
+// funcHandler adapts a closure to Handler so tests can schedule inline
+// bodies; the simulator itself pre-binds pooled handlers.
+type funcHandler func()
+
+func (f funcHandler) OnEvent(uint64) { f() }
+
+// schedule runs fn delay nanoseconds from now through the event path.
+func schedule(eng *Engine, delay Time, fn func()) {
+	eng.ScheduleEvent(delay, funcHandler(fn), 0)
 }

@@ -2,10 +2,9 @@ package simx
 
 // Resource models a server with a fixed number of slots and a FIFO wait
 // queue: a shared bus (capacity 1), a flash die (capacity 1), or a
-// multi-entry buffer drain. Acquire either grants a slot immediately or
-// enqueues the caller; the grant callback receives the time spent
-// waiting, which the storage models attribute to link- or
-// storage-contention.
+// multi-entry buffer drain. AcquireG either grants a slot immediately
+// or enqueues the caller; the grantee receives the time spent waiting,
+// which the storage models attribute to link- or storage-contention.
 //
 // Resource also integrates busy time so utilisation can be sampled over
 // an interval — the quantity uBus in Equation 2 of the paper.
@@ -31,16 +30,15 @@ type Resource struct {
 	maxQueue  int
 }
 
-// Grantee is the typed counterpart of Acquire's callback — pooled
-// per-operation states implement it so queueing for a slot allocates
-// nothing. arg is echoed back as a phase discriminator.
+// Grantee receives a Resource slot. Pooled per-operation states
+// implement it so queueing for a slot allocates nothing. arg is echoed
+// back as a phase discriminator.
 type Grantee interface {
 	OnGrant(arg uint64, waited Time)
 }
 
 type waiter struct {
-	fn      func(waited Time) // closure path; nil for typed waiters
-	g       Grantee           // typed path
+	g       Grantee
 	arg     uint64
 	arrived Time
 	next    *waiter
@@ -79,46 +77,20 @@ func (r *Resource) integrate() {
 	}
 }
 
-// Acquire requests a slot. fn runs (synchronously if a slot is free,
-// otherwise when one frees up) with the time the caller waited.
-func (r *Resource) Acquire(fn func(waited Time)) {
-	if fn == nil {
-		panic("simx: nil acquire func")
-	}
-	if r.grantNow() {
-		fn(0)
-		return
-	}
-	w := r.newWaiter()
-	w.fn = fn
-	r.enqueue(w)
-}
-
-// AcquireG is the typed, allocation-free Acquire: g.OnGrant(arg, waited)
-// runs synchronously if a slot is free, otherwise when one frees up.
-// Queued waiters live on pooled nodes recycled at grant time.
+// AcquireG requests a slot: g.OnGrant(arg, waited) runs synchronously
+// if a slot is free, otherwise when one frees up. Queued waiters live
+// on pooled nodes recycled at grant time.
 func (r *Resource) AcquireG(g Grantee, arg uint64) {
 	if g == nil {
 		panic("simx: nil acquire grantee")
 	}
-	if r.grantNow() {
+	if r.TryAcquire() {
 		g.OnGrant(arg, 0)
 		return
 	}
 	w := r.newWaiter()
 	w.g, w.arg = g, arg
 	r.enqueue(w)
-}
-
-// grantNow takes a free slot if available, reporting success.
-func (r *Resource) grantNow() bool {
-	if r.inUse >= r.capacity {
-		return false
-	}
-	r.integrate()
-	r.inUse++
-	r.grants++
-	return true
 }
 
 // newWaiter pops a recycled waiter node or allocates a fresh one.
@@ -143,7 +115,7 @@ func (r *Resource) newWaiter() *waiter {
 // recycleWaiter pushes a granted waiter node back onto the free-list —
 // the registered release point of the simx.waiter pool.
 func (r *Resource) recycleWaiter(w *waiter) {
-	w.fn, w.g = nil, nil
+	w.g = nil
 	if simcheckEnabled {
 		w.ck.Release("simx.waiter")
 	}
@@ -197,13 +169,9 @@ func (r *Resource) Release() {
 	r.totalWait += waited
 	// Recycle the node before invoking: the grantee often re-queues
 	// immediately and reuses it.
-	fn, g, arg := w.fn, w.g, w.arg
+	g, arg := w.g, w.arg
 	r.recycleWaiter(w)
-	if g != nil {
-		g.OnGrant(arg, waited)
-		return
-	}
-	fn(waited) //simlint:coldalloc closure grants are the audited cold acquire API
+	g.OnGrant(arg, waited)
 }
 
 // BusyNS reports the accumulated time during which at least one slot was

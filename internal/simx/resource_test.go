@@ -9,7 +9,7 @@ func TestResourceImmediateGrant(t *testing.T) {
 	eng := NewEngine()
 	r := NewResource(eng, "bus", 1)
 	granted := false
-	r.Acquire(func(w Time) {
+	acquire(r, func(w Time) {
 		granted = true
 		if w != 0 {
 			t.Errorf("waited %v on an idle resource", w)
@@ -28,10 +28,10 @@ func TestResourceFIFOWait(t *testing.T) {
 	r := NewResource(eng, "bus", 1)
 	var order []int
 
-	r.Acquire(func(Time) {}) // hold the slot
+	acquire(r, func(Time) {}) // hold the slot
 	for i := 0; i < 3; i++ {
 		i := i
-		r.Acquire(func(w Time) { order = append(order, i) })
+		acquire(r, func(w Time) { order = append(order, i) })
 	}
 	if r.QueueLen() != 3 {
 		t.Fatalf("QueueLen() = %d, want 3", r.QueueLen())
@@ -39,7 +39,7 @@ func TestResourceFIFOWait(t *testing.T) {
 
 	// Release at t=10, 20, 30; each release admits the next waiter.
 	for k := 0; k < 3; k++ {
-		eng.Schedule(Time(10*(k+1)), func() { r.Release() })
+		schedule(eng, Time(10*(k+1)), func() { r.Release() })
 	}
 	eng.Run()
 
@@ -57,10 +57,10 @@ func TestResourceFIFOWait(t *testing.T) {
 func TestResourceWaitTimes(t *testing.T) {
 	eng := NewEngine()
 	r := NewResource(eng, "bus", 1)
-	r.Acquire(func(Time) {})
+	acquire(r, func(Time) {})
 	var waited Time = -1
-	r.Acquire(func(w Time) { waited = w })
-	eng.Schedule(42, func() { r.Release() })
+	acquire(r, func(w Time) { waited = w })
+	schedule(eng, 42, func() { r.Release() })
 	eng.Run()
 	if waited != 42 {
 		t.Errorf("waiter saw wait %v, want 42", waited)
@@ -75,7 +75,7 @@ func TestResourceCapacityN(t *testing.T) {
 	r := NewResource(eng, "dies", 3)
 	grants := 0
 	for i := 0; i < 5; i++ {
-		r.Acquire(func(w Time) {
+		acquire(r, func(w Time) {
 			if w == 0 {
 				grants++
 			}
@@ -118,10 +118,10 @@ func TestBusyIntegral(t *testing.T) {
 	eng := NewEngine()
 	r := NewResource(eng, "bus", 1)
 	// busy [10, 30), idle [30, 50), busy [50, 60)
-	eng.Schedule(10, func() { r.Acquire(func(Time) {}) })
-	eng.Schedule(30, func() { r.Release() })
-	eng.Schedule(50, func() { r.Acquire(func(Time) {}) })
-	eng.Schedule(60, func() { r.Release() })
+	schedule(eng, 10, func() { acquire(r, func(Time) {}) })
+	schedule(eng, 30, func() { r.Release() })
+	schedule(eng, 50, func() { acquire(r, func(Time) {}) })
+	schedule(eng, 60, func() { r.Release() })
 	eng.Run()
 	if got := r.BusyNS(); got != 30 {
 		t.Errorf("BusyNS() = %v, want 30", got)
@@ -131,8 +131,8 @@ func TestBusyIntegral(t *testing.T) {
 func TestUtilizationSince(t *testing.T) {
 	eng := NewEngine()
 	r := NewResource(eng, "bus", 1)
-	eng.Schedule(0, func() { r.Acquire(func(Time) {}) })
-	eng.Schedule(50, func() { r.Release() })
+	schedule(eng, 0, func() { acquire(r, func(Time) {}) })
+	schedule(eng, 50, func() { r.Release() })
 	eng.RunUntil(100)
 	// busy 50 of 100 ns
 	if u := r.UtilizationSince(0, 0); u != 0.5 {
@@ -149,9 +149,9 @@ func TestUtilizationSince(t *testing.T) {
 func TestWeightedBusy(t *testing.T) {
 	eng := NewEngine()
 	r := NewResource(eng, "dies", 2)
-	eng.Schedule(0, func() { r.Acquire(func(Time) {}); r.Acquire(func(Time) {}) })
-	eng.Schedule(10, func() { r.Release() })
-	eng.Schedule(20, func() { r.Release() })
+	schedule(eng, 0, func() { acquire(r, func(Time) {}); acquire(r, func(Time) {}) })
+	schedule(eng, 10, func() { r.Release() })
+	schedule(eng, 20, func() { r.Release() })
 	eng.Run()
 	// 2 slots for 10ns + 1 slot for 10ns = 30 slot-ns
 	if got := r.WeightedBusyNS(); got != 30 {
@@ -170,9 +170,9 @@ func TestPropertyResourceConservation(t *testing.T) {
 		for _, d8 := range durations {
 			d := Time(d8) + 1 // at least 1ns
 			total += d
-			r.Acquire(func(w Time) {
+			acquire(r, func(w Time) {
 				granted++
-				eng.Schedule(d, func() { r.Release() })
+				schedule(eng, d, func() { r.Release() })
 			})
 		}
 		eng.Run()
@@ -264,8 +264,18 @@ func TestResourceIntrospection(t *testing.T) {
 	if r.Name() != "intro" || r.Capacity() != 2 {
 		t.Errorf("accessors: %q/%d", r.Name(), r.Capacity())
 	}
-	r.Acquire(func(Time) {})
+	acquire(r, func(Time) {})
 	if r.Grants() != 1 {
 		t.Errorf("Grants = %d", r.Grants())
 	}
+}
+
+// funcGrantee adapts a closure to Grantee for tests.
+type funcGrantee func(waited Time)
+
+func (f funcGrantee) OnGrant(_ uint64, waited Time) { f(waited) }
+
+// acquire queues fn for a slot of r through the grantee path.
+func acquire(r *Resource, fn func(waited Time)) {
+	r.AcquireG(funcGrantee(fn), 0)
 }

@@ -9,11 +9,10 @@ const simcheckEnabled = false
 // ckState is empty without the tag, so the Engine pays no space.
 type ckState struct{}
 
-func (e *Engine) ckSchedule(ev *Event) {}
-func (e *Engine) ckStep(ev *Event)     {}
-func (e *Engine) ckCancel(ev *Event)   {}
+func (e *Engine) ckSchedule(ev *event) {}
+func (e *Engine) ckStep(ev *event)     {}
 
-// PoolCheck is the pooled-object lifecycle guard. Pooled types (Event
+// PoolCheck is the pooled-object lifecycle guard. Pooled types (event
 // nodes here, pcie.Packet, cluster.Command, ...) embed one and their
 // pools call Checkout/Release around free-list traffic; hot entry
 // points call InUse. Without the simcheck tag it is an empty struct

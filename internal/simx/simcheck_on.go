@@ -126,31 +126,20 @@ type ckLife = PoolCheck
 
 // ckSchedule validates a newly pushed event and periodically sweeps
 // the whole heap.
-func (e *Engine) ckSchedule(ev *Event) {
+func (e *Engine) ckSchedule(ev *event) {
 	if ev.when < e.now {
 		panic(fmt.Sprintf("simcheck: scheduled event at %v is in the past (now %v)", ev.when, e.now))
-	}
-	if ev.index < 0 || ev.index >= len(e.events) || e.events[ev.index] != ev {
-		panic(fmt.Sprintf("simcheck: pushed event has stale heap index %d", ev.index))
 	}
 	e.ckMaybeVerifyHeap()
 }
 
 // ckStep enforces event-time monotonicity: the clock never moves
 // backwards, because the heap always yields the earliest pending event.
-func (e *Engine) ckStep(ev *Event) {
+func (e *Engine) ckStep(ev *event) {
 	if ev.when < e.now {
 		panic(fmt.Sprintf("simcheck: next event at %v precedes now %v; event order violated", ev.when, e.now))
 	}
 	e.ckMaybeVerifyHeap()
-}
-
-// ckCancel checks that the event's recorded heap index still points at
-// the event before Cancel uses it for heap.Remove.
-func (e *Engine) ckCancel(ev *Event) {
-	if ev.index < 0 || ev.index >= len(e.events) || e.events[ev.index] != ev {
-		panic(fmt.Sprintf("simcheck: cancelling event whose heap index %d is stale", ev.index))
-	}
 }
 
 func (e *Engine) ckMaybeVerifyHeap() {
@@ -160,14 +149,11 @@ func (e *Engine) ckMaybeVerifyHeap() {
 	}
 }
 
-// ckVerifyHeap proves three properties of the pending-event heap: every
-// event's index field matches its slot, the heap ordering holds between
-// every parent and child, and no pending event is in the past.
+// ckVerifyHeap proves two properties of the pending-event heap: the
+// heap ordering holds between every parent and child, and no pending
+// event is in the past.
 func (e *Engine) ckVerifyHeap() {
 	for i, ev := range e.events {
-		if ev.index != i {
-			panic(fmt.Sprintf("simcheck: heap slot %d holds event recording index %d", i, ev.index))
-		}
 		if ev.when < e.now {
 			panic(fmt.Sprintf("simcheck: pending event at %v is before now %v", ev.when, e.now))
 		}

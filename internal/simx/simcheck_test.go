@@ -2,7 +2,10 @@
 
 package simx
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // TestSimcheckSweepsCleanRun schedules enough events to force several
 // full-heap verifications; a correct engine must survive them.
@@ -11,7 +14,7 @@ func TestSimcheckSweepsCleanRun(t *testing.T) {
 	rng := NewRNG(7)
 	var fired int
 	for i := 0; i < 4*ckVerifyEvery; i++ {
-		eng.Schedule(Time(rng.Intn(1000))*Microsecond, func() { fired++ })
+		schedule(eng, Time(rng.Intn(1000))*Microsecond, func() { fired++ })
 	}
 	eng.Run()
 	if fired != 4*ckVerifyEvery {
@@ -19,32 +22,18 @@ func TestSimcheckSweepsCleanRun(t *testing.T) {
 	}
 }
 
-// TestSimcheckCancelUsesVerifiedIndex cancels from a deep heap; the
-// index-consistency check must accept every live event.
-func TestSimcheckCancelUsesVerifiedIndex(t *testing.T) {
-	eng := NewEngine()
-	var evs []*Event
-	for i := 0; i < 100; i++ {
-		evs = append(evs, eng.Schedule(Time(i)*Microsecond, func() {}))
-	}
-	for _, ev := range evs {
-		eng.Cancel(ev)
-	}
-	if eng.Step() {
-		t.Fatal("no events should remain after cancelling all")
-	}
-}
-
-// TestSimcheckDetectsCorruptHeap corrupts an event's recorded index and
-// expects the sweep to panic: this proves the checker actually checks.
+// TestSimcheckDetectsCorruptHeap breaks heap order — a parent now
+// fires after its child — and expects the sweep to panic on exactly
+// that property: this proves the checker actually checks.
 func TestSimcheckDetectsCorruptHeap(t *testing.T) {
 	eng := NewEngine()
-	ev := eng.Schedule(Microsecond, func() {})
-	eng.Schedule(2*Microsecond, func() {})
-	ev.index = 1 // lie about the heap slot
+	schedule(eng, Microsecond, func() {})
+	schedule(eng, 2*Microsecond, func() {})
+	eng.events[0].when = 3 * Microsecond // parent now later than its child
 	defer func() {
-		if recover() == nil {
-			t.Fatal("ckVerifyHeap accepted a corrupted event index")
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "heap property violated") {
+			t.Fatalf("ckVerifyHeap accepted a heap-order violation (recovered %q)", msg)
 		}
 	}()
 	eng.ckVerifyHeap()
@@ -54,7 +43,7 @@ func TestSimcheckDetectsCorruptHeap(t *testing.T) {
 // expects the monotonicity check to panic.
 func TestSimcheckDetectsPastEvent(t *testing.T) {
 	eng := NewEngine()
-	eng.Schedule(Millisecond, func() {})
+	schedule(eng, Millisecond, func() {})
 	ev := eng.events[0]
 	eng.now = 2 * Millisecond // move the clock past the pending event
 	defer func() {
