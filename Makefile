@@ -4,7 +4,7 @@
 GO ?= go
 SIMLINT := bin/simlint
 
-.PHONY: build test race simcheck lint lint-fix-list lint-hotzero-list vet fmt-check check clean bench-json bench-compare bench-check fault-smoke sweep-smoke metrics-smoke decisions-smoke graph graph-check
+.PHONY: build test race simcheck lint lint-fix-list lint-hotzero-list vet fmt-check check clean bench-json bench-compare bench-check fault-smoke sweep-smoke metrics-smoke decisions-smoke fuzz
 
 build:
 	$(GO) build ./...
@@ -53,19 +53,6 @@ lint-hotzero-list:
 	@grep -rn '//simlint:cold' --include='*.go' . \
 		| grep -v '/testdata/' | grep -v '^./internal/lint/' | grep -v '^./cmd/simlint/' \
 		| sed 's|^\./||' || echo "no audited hot-path escapes"
-
-# Regenerate the certified component-communication graph artifacts
-# (docs/graph/components.{dot,json}) from source. Fails if any
-# cross-package component reference is neither a componentEdges
-# manifest row nor an audited //simlint:edge site, or if a manifest row
-# no longer has a witnessing reference. See docs/architecture.md.
-graph:
-	$(GO) run ./cmd/simgraph
-
-# CI variant: re-render in memory and fail if the committed artifacts
-# are stale instead of rewriting them.
-graph-check:
-	$(GO) run ./cmd/simgraph -check
 
 vet:
 	$(GO) vet ./...
@@ -157,7 +144,15 @@ decisions-smoke:
 		-v ./internal/experiments/
 	$(GO) test ./internal/decision/
 
-check: build fmt-check vet lint graph-check test bench-check race simcheck
+# Trace-decoder fuzzing: each target runs for 10 s on top of its
+# committed seed corpus (internal/trace/testdata/fuzz). go test fuzzes
+# one target per invocation. A failing input is written back into the
+# corpus, where the plain test run replays it from then on.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/trace/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMSR$$' -fuzztime 10s ./internal/trace/
+
+check: build fmt-check vet lint test bench-check race simcheck
 
 clean:
 	rm -rf bin

@@ -291,22 +291,15 @@ func pkgLevelVar(info *types.Info, e ast.Expr) *types.Var {
 // escape hatch (see docs/static-analysis.md). The marker must end at a
 // token boundary, so "simlint:cold" does not match "simlint:coldalloc".
 func suppressed(pass *analysis.Pass, pos token.Pos, marker string) bool {
-	return MarkerNear(pass.Fset, pass.FileAt(pos), pos, marker)
-}
-
-// MarkerNear reports whether the line holding pos, or the line just
-// above it, carries a "//simlint:<marker>" comment in file. Exported
-// so whole-repo tools outside a vet run (cmd/simgraph) apply the same
-// audited-site convention the analyzers do.
-func MarkerNear(fset *token.FileSet, file *ast.File, pos token.Pos, marker string) bool {
+	file := pass.FileAt(pos)
 	if file == nil {
 		return false
 	}
-	line := fset.Position(pos).Line
+	line := pass.Fset.Position(pos).Line
 	want := "simlint:" + marker
 	for _, cg := range file.Comments {
 		for _, c := range cg.List {
-			cl := fset.Position(c.Pos()).Line
+			cl := pass.Fset.Position(c.Pos()).Line
 			if cl != line && cl != line-1 {
 				continue
 			}
@@ -370,6 +363,5 @@ func All() []*analysis.Analyzer {
 		Poolsafe,
 		Isosafe,
 		Hotzero,
-		Partsafe,
 	}
 }

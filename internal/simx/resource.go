@@ -20,14 +20,8 @@ type Resource struct {
 	freeW    *waiter // recycled waiter nodes
 
 	// busy-time integral bookkeeping
-	busyNS     Time // accumulated (inUse>0) busy nanoseconds for capacity-1 semantics
-	weightedNS Time // accumulated inUse-weighted nanoseconds (for capacity>1)
+	busyNS     Time // accumulated nanoseconds during which at least one slot was held
 	lastChange Time
-
-	// statistics
-	grants    uint64
-	totalWait Time
-	maxQueue  int
 }
 
 // Grantee receives a Resource slot. Pooled per-operation states
@@ -72,7 +66,6 @@ func (r *Resource) integrate() {
 		if r.inUse > 0 {
 			r.busyNS += dt
 		}
-		r.weightedNS += dt * Time(r.inUse)
 		r.lastChange = now
 	}
 }
@@ -131,9 +124,6 @@ func (r *Resource) enqueue(w *waiter) {
 	}
 	r.waitTail = w
 	r.waitLen++
-	if r.waitLen > r.maxQueue {
-		r.maxQueue = r.waitLen
-	}
 }
 
 // TryAcquire takes a slot if one is free, reporting success. It never queues.
@@ -143,7 +133,6 @@ func (r *Resource) TryAcquire() bool {
 	}
 	r.integrate()
 	r.inUse++
-	r.grants++
 	return true
 }
 
@@ -164,9 +153,7 @@ func (r *Resource) Release() {
 	}
 	r.waitLen--
 	r.inUse++
-	r.grants++
 	waited := r.eng.Now() - w.arrived
-	r.totalWait += waited
 	// Recycle the node before invoking: the grantee often re-queues
 	// immediately and reuses it.
 	g, arg := w.g, w.arg
@@ -180,21 +167,6 @@ func (r *Resource) BusyNS() Time {
 	r.integrate()
 	return r.busyNS
 }
-
-// WeightedBusyNS reports the slot-weighted busy integral (slot-ns).
-func (r *Resource) WeightedBusyNS() Time {
-	r.integrate()
-	return r.weightedNS
-}
-
-// Grants reports how many acquisitions have been granted.
-func (r *Resource) Grants() uint64 { return r.grants }
-
-// TotalWait reports the summed queueing delay over all grants.
-func (r *Resource) TotalWait() Time { return r.totalWait }
-
-// MaxQueue reports the deepest wait queue observed.
-func (r *Resource) MaxQueue() int { return r.maxQueue }
 
 // UtilizationSince reports the fraction of the interval [since, now]
 // during which the resource was busy, in [0,1]. A zero-length interval

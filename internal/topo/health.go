@@ -61,10 +61,6 @@ type Health struct {
 	g        Geometry
 	clusters []ClusterState
 	fimms    []FIMMState
-
-	// notOnline counts entries away from their healthy state, so the
-	// unfaulted fast path is a single comparison.
-	notOnline int
 }
 
 // NewHealth returns an all-online registry for the geometry.
@@ -76,11 +72,6 @@ func NewHealth(g Geometry) *Health {
 	}
 }
 
-// AllOnline reports whether every cluster and FIMM is healthy — the
-// fast path every per-page availability check takes on an unfaulted
-// array.
-func (h *Health) AllOnline() bool { return h == nil || h.notOnline == 0 }
-
 // Cluster reports a cluster's state.
 func (h *Health) Cluster(id ClusterID) ClusterState {
 	if h == nil {
@@ -91,13 +82,7 @@ func (h *Health) Cluster(id ClusterID) ClusterState {
 
 // SetCluster records a cluster state transition.
 func (h *Health) SetCluster(id ClusterID, s ClusterState) {
-	flat := id.Flat(h.g)
-	if h.clusters[flat] == ClusterOnline && s != ClusterOnline {
-		h.notOnline++
-	} else if h.clusters[flat] != ClusterOnline && s == ClusterOnline {
-		h.notOnline--
-	}
-	h.clusters[flat] = s
+	h.clusters[id.Flat(h.g)] = s
 }
 
 // FIMM reports a module's state.
@@ -110,13 +95,7 @@ func (h *Health) FIMM(id FIMMID) FIMMState {
 
 // SetFIMM records a module state transition.
 func (h *Health) SetFIMM(id FIMMID, s FIMMState) {
-	flat := id.Flat(h.g)
-	if h.fimms[flat] == FIMMOnline && s != FIMMOnline {
-		h.notOnline++
-	} else if h.fimms[flat] != FIMMOnline && s == FIMMOnline {
-		h.notOnline--
-	}
-	h.fimms[flat] = s
+	h.fimms[id.Flat(h.g)] = s
 }
 
 // Readable reports whether data resident on the FIMM can be read: the

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -21,7 +22,8 @@ import (
 // Size are bytes. Byte offsets are converted to page-granular requests
 // (pageSize bytes per page, typically 4096): the LPN is the offset's
 // page number and the page count covers [Offset, Offset+Size). The
-// first record's timestamp becomes time zero.
+// first record's timestamp becomes time zero; a record stamped before
+// it, or too long after it to count in int64 nanoseconds, is an error.
 func DecodeMSR(r io.Reader, pageSize units.Bytes) ([]Request, error) {
 	if pageSize <= 0 {
 		return nil, fmt.Errorf("trace: page size %d must be positive", pageSize)
@@ -57,20 +59,31 @@ func DecodeMSR(r io.Reader, pageSize units.Bytes) ([]Request, error) {
 		if err != nil {
 			return nil, fmt.Errorf("trace: msr line %d: size: %v", lineNo, err)
 		}
-		if offset < 0 || size <= 0 {
+		if offset < 0 || size <= 0 || offset > math.MaxInt64-size {
 			return nil, fmt.Errorf("trace: msr line %d: bad extent [%d,+%d)", lineNo, offset, size)
 		}
 		if len(out) == 0 {
 			t0 = ts
 		}
+		if ts < t0 {
+			return nil, fmt.Errorf("trace: msr line %d: timestamp %d precedes the first record's %d", lineNo, ts, t0)
+		}
+		// ts >= t0, so the unsigned difference is exact.
+		if uint64(ts-t0) > math.MaxInt64/100 {
+			return nil, fmt.Errorf("trace: msr line %d: timestamp %d overflows the arrival time", lineNo, ts)
+		}
 		firstPage := offset / pageSize.Int64()
 		lastPage := (offset + size - 1) / pageSize.Int64()
-		out = append(out, Request{
+		req := Request{
 			Arrival: simx.Time((ts - t0) * 100), // filetime ticks -> ns
 			Op:      op,
 			LPN:     firstPage,
 			Pages:   units.Pages(lastPage - firstPage + 1),
-		})
+		}
+		if err := req.Validate(); err != nil {
+			return nil, fmt.Errorf("trace: msr line %d: %w", lineNo, err)
+		}
+		out = append(out, req)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err

@@ -61,6 +61,12 @@ func TestDecodeMSRErrors(t *testing.T) {
 		"1,usr,0,Read,8192,x,1",    // bad size
 		"1,usr,0,Read,-1,4096,1",   // negative offset
 		"1,usr,0,Read,8192,0,1",    // zero size
+		// a timestamp earlier than the first record's
+		"128166372003061629,usr,0,Read,8192,4096,1\n128166372003061579,usr,0,Read,8192,4096,1",
+		// offset+size overflows int64
+		"1,usr,0,Read,9223372036854775807,2,1",
+		// the arrival in ns overflows int64
+		"0,usr,0,Read,8192,4096,1\n184467440737095517,usr,0,Read,8192,4096,1",
 	} {
 		if _, err := DecodeMSR(strings.NewReader(src), 4096); err == nil {
 			t.Errorf("DecodeMSR accepted %q", src)
