@@ -4,7 +4,7 @@
 GO ?= go
 SIMLINT := bin/simlint
 
-.PHONY: build test race simcheck lint lint-fix-list lint-hotzero-list vet fmt-check check clean bench-json bench-compare bench-check fault-smoke sweep-smoke metrics-smoke decisions-smoke fuzz
+.PHONY: build test race simcheck lint lint-fix-list lint-hotzero-list vet fmt-check check clean bench-check smoke fuzz
 
 build:
 	$(GO) build ./...
@@ -63,18 +63,6 @@ fmt-check:
 	@out="$$(gofmt -l .)"; \
 	if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# One pass over every figure/table benchmark with allocation stats,
-# serialised to JSON (see docs/performance.md). BENCH_PR3.json is the
-# committed baseline the CI bench smoke job compares against.
-BENCH_JSON ?= BENCH_PR3.json
-bench-json:
-	$(GO) test . -run '^$$' -bench 'Benchmark(Table|Fig)' -benchtime 1x -benchmem \
-		| $(GO) run ./cmd/benchjson -o $(BENCH_JSON)
-
-# Fail if allocs/op regressed >10% against the committed baseline.
-bench-compare:
-	$(GO) run ./cmd/benchjson -compare BENCH_PR3.json -against $(BENCH_JSON)
-
 # The repository benchmark (perfbench/, see BENCHMARK.json) is its own
 # Go module, so the root `go build ./...` and `go test ./...` never
 # compile it. Vet and self-test it here so an API change that breaks
@@ -83,66 +71,27 @@ bench-check:
 	$(GO) -C perfbench vet ./...
 	$(GO) -C perfbench test ./...
 
-# Degraded-mode smoke: the degraded-array study (reference fault plan,
-# reduced 2x4 geometry) written to FAULT_TABLE, plus the faulted golden
-# replay and the fault lifecycle tests with the simcheck leak ledger
-# armed. See docs/fault-injection.md.
-FAULT_TABLE ?= fault-table.txt
-fault-smoke:
+# CI's smoke job (see docs/performance.md), writing only to the
+# gitignored .smoke/: one pass over every figure/table benchmark into
+# .smoke/bench.json, the three reduced study tables CI keeps as
+# artifacts, then two gates on that one JSON. Every BENCH_PR3.json
+# benchmark must be present and within 10% on allocs/op (the pooled hot
+# path stays allocation-free), and Table02Baseline within 10% of
+# BENCH_PR10.json on ns/op (the decision recorder's zero-overhead-off
+# contract; BENCH_PR10.json was recorded from such a full pass).
+smoke:
+	mkdir -p .smoke
+	$(GO) test . -run '^$$' -bench 'Benchmark(Table|Fig)' -benchtime 1x -benchmem \
+		| $(GO) run ./cmd/benchjson -o .smoke/bench.json
 	$(GO) run ./cmd/triplea-bench -experiment fault -requests 4000 \
-		-switches 2 -clusters 4 | tee $(FAULT_TABLE)
-	$(GO) test -tags simcheck -run 'TestFaultedGoldenReplay' -v ./internal/experiments/
-	$(GO) test -tags simcheck ./internal/fault/
-
-# Parallel-sweep smoke: the 16-point Fig12 sweep benchmarked serial vs
-# parallel (wall-clock + speedup evidence, see docs/performance.md),
-# serialized to SWEEP_JSON, plus the serial/parallel byte-equivalence
-# tests and the race pass over the orchestration scope.
-SWEEP_JSON ?= BENCH_PR6.json
-sweep-smoke:
-	$(GO) test . -run '^$$' -bench 'BenchmarkSweep' -benchtime 1x -benchmem \
-		| $(GO) run ./cmd/benchjson -o $(SWEEP_JSON)
-	$(GO) test -run 'TestParallel' -v ./internal/experiments/
-	$(GO) test -race ./internal/sweep/
-
-# Streaming-metrics smoke: the recorder footprint benchmarks (exact vs
-# streaming at 10^5 and 10^6 requests, with the steady-state
-# recorder-bytes/op metric) serialized to METRICS_JSON, gated flat
-# (±10%) between the 100k and 1M streaming runs — the O(1)-state
-# contract of docs/metrics.md — plus the streaming determinism/accuracy
-# tests and an end-to-end streaming-backend run of Table 1.
-METRICS_JSON ?= BENCH_PR8.json
-metrics-smoke:
-	$(GO) test . -run '^$$' -bench 'BenchmarkRecorder' -benchtime 1x -benchmem \
-		| $(GO) run ./cmd/benchjson -o $(METRICS_JSON)
-	$(GO) run ./cmd/benchjson -flat recorder-bytes/op \
-		-names RecorderStreaming100k,RecorderStreaming1M -against $(METRICS_JSON)
-	$(GO) test -run 'TestStreaming|TestPercentileNearestRank|TestPropertyStreamingAccuracy|TestSustainedIOPSBackendsAgree' \
-		-v ./internal/metrics/ ./internal/experiments/
-	$(GO) run ./cmd/triplea-bench -experiment table1 -requests 4000 \
-		-switches 2 -clusters 4 -metrics streaming
-
-# Decision flight-recorder smoke (see docs/decision-traces.md): the
-# Table 2 baseline benchmark with recording off, gated against the
-# committed baselines on BOTH allocs/op (vs BENCH_PR3.json — exact, the
-# hot path must stay allocation-free) and ns/op (vs BENCH_PR10.json,
-# ±10% — the zero-overhead-off contract), then the regret study table
-# written to REGRET_TABLE, the seed-42 decision-trace golden, the
-# pure-observation pin and the recorder unit tests.
-DECISIONS_JSON ?= bench-decisions.json
-REGRET_TABLE ?= regret-table.txt
-decisions-smoke:
-	$(GO) test . -run '^$$' -bench 'BenchmarkTable02Baseline' -benchtime 1x -benchmem \
-		| $(GO) run ./cmd/benchjson -o $(DECISIONS_JSON)
-	$(GO) run ./cmd/benchjson -compare BENCH_PR3.json -against $(DECISIONS_JSON) \
-		-names Table02Baseline
-	$(GO) run ./cmd/benchjson -compare BENCH_PR10.json -against $(DECISIONS_JSON) \
-		-metric ns/op -names Table02Baseline
+		-switches 2 -clusters 4 | tee .smoke/fault-table.txt
 	$(GO) run ./cmd/triplea-bench -experiment regret -requests 4000 \
-		-switches 2 -clusters 8 | tee $(REGRET_TABLE)
-	$(GO) test -run 'TestDecisionTraceGolden|TestRecordingIsPureObservation|TestRegretStudySmoke' \
-		-v ./internal/experiments/
-	$(GO) test ./internal/decision/
+		-switches 2 -clusters 8 | tee .smoke/regret-table.txt
+	$(GO) run ./cmd/triplea-bench -experiment table1 -requests 4000 \
+		-switches 2 -clusters 4 -metrics streaming | tee .smoke/table1-streaming.txt
+	$(GO) run ./cmd/benchjson -compare BENCH_PR3.json -against .smoke/bench.json
+	$(GO) run ./cmd/benchjson -compare BENCH_PR10.json -against .smoke/bench.json \
+		-metric ns/op -names Table02Baseline
 
 # Trace-decoder fuzzing: each target runs for 10 s on top of its
 # committed seed corpus (internal/trace/testdata/fuzz). go test fuzzes
@@ -155,4 +104,4 @@ fuzz:
 check: build fmt-check vet lint test bench-check race simcheck
 
 clean:
-	rm -rf bin
+	rm -rf bin .smoke

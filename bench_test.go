@@ -15,7 +15,6 @@ import (
 	"triplea/internal/core"
 	"triplea/internal/experiments"
 	"triplea/internal/ftl"
-	"triplea/internal/metrics"
 	"triplea/internal/nand"
 	"triplea/internal/pcie"
 	"triplea/internal/report"
@@ -457,13 +456,13 @@ func BenchmarkHostPriorityScheduling(b *testing.B) {
 	}
 }
 
-// --- Sweep-pool wall-clock benchmarks (BENCH_PR6.json, `make
-// sweep-smoke`). Deliberately named outside the Benchmark(Table|Fig)
-// pattern so the PR3 allocation gate ignores them: a fresh suite per
+// --- Sweep-pool wall-clock benchmarks, run by hand with
+// `go test . -run '^$' -bench BenchmarkSweep -benchtime 1x`.
+// Deliberately named outside the Benchmark(Table|Fig) pattern so
+// `make smoke` and its allocation gate skip them: a fresh suite per
 // iteration defeats the memo cache on purpose, measuring the 16-point
 // Fig12 sweep end to end. Serial vs parallel differ only in Parallel,
-// so their ratio is the pool speedup (~1x on 1 CPU, >=2x on the
-// 4-core CI runner).
+// so their ratio is the pool speedup (~1x on 1 CPU).
 
 func benchSweepFig12(b *testing.B, parallel int) {
 	var tbl *report.Table
@@ -591,62 +590,4 @@ func BenchmarkArraySingleRead(b *testing.B) {
 		a.Submit(trace.Request{Op: trace.Read, LPN: int64(i % 100000), Pages: 1})
 		a.Engine().Run()
 	}
-}
-
-// synthRecords feeds a recorder `requests` synthetic completions from a
-// seeded stream: a bursty submit clock and latencies spanning several
-// histogram octaves (~1µs .. ~16ms), so the streaming backend's
-// log-spaced buckets, windowed tracker and reservoir all see realistic
-// churn.
-func synthRecords(rec *metrics.Recorder, requests int) {
-	rng := simx.NewRNG(42)
-	var clock simx.Time
-	for i := 0; i < requests; i++ {
-		clock += simx.Time(rng.Intn(2000)) * simx.Nanosecond
-		lat := simx.Time(2000+rng.Intn(1<<uint(10+rng.Intn(14)))) * simx.Nanosecond
-		kind := metrics.Read
-		if rng.Bool(0.3) {
-			kind = metrics.Write
-		}
-		rec.Record(metrics.Record{
-			ID:       uint64(i),
-			Kind:     kind,
-			Pages:    1,
-			Submit:   clock,
-			Complete: clock + lat,
-			Breakdown: metrics.Breakdown{
-				Texe:     lat / 2,
-				LinkWait: lat / 4,
-			},
-		})
-	}
-}
-
-// benchmarkRecorderBytes measures one backend's steady-state metric
-// footprint at a given run length, reported as recorder-bytes/op for
-// the metrics-smoke flatness gate (docs/metrics.md).
-func benchmarkRecorderBytes(b *testing.B, backend metrics.Backend, requests int) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		rec := metrics.NewRecorderWith(backend, 0)
-		synthRecords(rec, requests)
-		if rec.Count() != requests {
-			b.Fatalf("recorded %d of %d", rec.Count(), requests)
-		}
-		b.ReportMetric(float64(rec.FootprintBytes()), "recorder-bytes/op")
-	}
-}
-
-// The streaming pair is the O(1) evidence: 10x the requests, flat
-// bytes. The exact run rides along for contrast in BENCH_PR8.json.
-func BenchmarkRecorderStreaming100k(b *testing.B) {
-	benchmarkRecorderBytes(b, metrics.Streaming, 100_000)
-}
-
-func BenchmarkRecorderStreaming1M(b *testing.B) {
-	benchmarkRecorderBytes(b, metrics.Streaming, 1_000_000)
-}
-
-func BenchmarkRecorderExact100k(b *testing.B) {
-	benchmarkRecorderBytes(b, metrics.Exact, 100_000)
 }

@@ -1,23 +1,19 @@
 // Command benchjson converts `go test -bench` output into a stable
-// JSON document (ns/op, B/op, allocs/op plus any custom b.ReportMetric
-// units per benchmark) and runs two gates over such documents.
+// JSON document (ns/op, B/op and allocs/op per benchmark) and gates a
+// candidate document against a committed baseline.
 //
 // Usage:
 //
 //	go test . -bench . -benchtime 1x -benchmem | benchjson -o BENCH.json
-//	benchjson -compare BASELINE.json -against NEW.json [-metric UNIT] [-tolerance 0.10] [-names A,B]
-//	benchjson -flat METRIC -names A,B[,C...] -against NEW.json [-tolerance 0.10]
+//	benchjson -compare BASELINE.json -against NEW.json [-metric UNIT] [-names A,B]
 //
 // The first form parses benchmark result lines from stdin. The second
-// form exits non-zero if any benchmark present in both files grew its
-// -metric (default allocs/op) by more than the tolerance fraction —
-// the CI gate that keeps the pooled hot path allocation-free
-// (allocs/op) and, with -metric ns/op, the latency gate the decision
-// flight recorder's zero-overhead-off contract is held to; -names
-// restricts the comparison to the listed benchmarks. The third form
-// exits non-zero unless the named benchmarks agree on METRIC (e.g.
-// recorder-bytes/op) within the tolerance — the CI gate that keeps the
-// streaming metrics backend's memory flat across run lengths.
+// form exits non-zero if any baseline benchmark grew its -metric
+// (default allocs/op) by more than 10% in the candidate, or is missing
+// from it — the gate that keeps the pooled hot path allocation-free
+// and, with -metric ns/op, holds the decision flight recorder to its
+// zero-overhead-off contract. -names restricts the gate to the listed
+// benchmarks.
 package main
 
 import (
@@ -31,32 +27,31 @@ import (
 	"strings"
 )
 
+// tolerance is the largest fractional growth -compare accepts.
+const tolerance = 0.10
+
 // Result is one benchmark's parsed measurements. Zero-valued metrics
-// were absent from the input line (e.g. no -benchmem). Extra holds
-// custom units emitted via testing.B.ReportMetric (key = the unit
-// string, e.g. "recorder-bytes/op"); it is omitted when empty.
+// were absent from the input line (e.g. no -benchmem).
 type Result struct {
-	Name        string             `json:"name"`
-	Iterations  int64              `json:"iterations"`
-	NsPerOp     float64            `json:"ns_per_op"`
-	BytesPerOp  float64            `json:"bytes_per_op"`
-	AllocsPerOp float64            `json:"allocs_per_op"`
-	Extra       map[string]float64 `json:"extra,omitempty"`
+	Name        string  `json:"name"`
+	Iterations  int64   `json:"iterations"`
+	NsPerOp     float64 `json:"ns_per_op"`
+	BytesPerOp  float64 `json:"bytes_per_op"`
+	AllocsPerOp float64 `json:"allocs_per_op"`
 }
 
-// Metric reads a named metric off the result: one of the three builtin
-// units or any custom ReportMetric unit.
-func (r Result) Metric(unit string) (float64, bool) {
+// Metric reads one of the three builtin units off the result; ok is
+// false when the unit is unknown or was not measured.
+func (r Result) Metric(unit string) (v float64, ok bool) {
 	switch unit {
 	case "ns/op":
-		return r.NsPerOp, r.NsPerOp > 0
+		v = r.NsPerOp
 	case "B/op":
-		return r.BytesPerOp, r.BytesPerOp > 0
+		v = r.BytesPerOp
 	case "allocs/op":
-		return r.AllocsPerOp, r.AllocsPerOp > 0
+		v = r.AllocsPerOp
 	}
-	v, ok := r.Extra[unit]
-	return v, ok
+	return v, v > 0
 }
 
 // Document is the top-level JSON shape.
@@ -66,25 +61,16 @@ type Document struct {
 
 func main() {
 	var (
-		out       = flag.String("o", "", "output file (default stdout)")
-		compare   = flag.String("compare", "", "baseline JSON file: compare instead of parsing stdin")
-		against   = flag.String("against", "", "candidate JSON file for -compare / -flat")
-		tolerance = flag.Float64("tolerance", 0.10, "allowed fractional growth (-compare) or spread (-flat)")
-		flat      = flag.String("flat", "", "metric unit (e.g. recorder-bytes/op): assert -names agree within -tolerance")
-		names     = flag.String("names", "", "comma-separated benchmark names for -flat, or to restrict -compare")
-		metric    = flag.String("metric", "allocs/op", "metric unit compared by -compare")
+		out     = flag.String("o", "", "output file (default stdout)")
+		compare = flag.String("compare", "", "baseline JSON file: compare instead of parsing stdin")
+		against = flag.String("against", "", "candidate JSON file for -compare")
+		names   = flag.String("names", "", "comma-separated benchmark names to restrict -compare")
+		metric  = flag.String("metric", "allocs/op", "metric unit compared by -compare (ns/op, B/op or allocs/op)")
 	)
 	flag.Parse()
 
 	if *compare != "" {
-		if err := runCompare(*compare, *against, *metric, *names, *tolerance); err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *flat != "" {
-		if err := runFlat(*against, *flat, *names, *tolerance); err != nil {
+		if err := runCompare(*compare, *against, *metric, *names); err != nil {
 			fmt.Fprintln(os.Stderr, "benchjson:", err)
 			os.Exit(1)
 		}
@@ -144,21 +130,13 @@ func parse(sc *bufio.Scanner) (*Document, error) {
 			if err != nil {
 				continue
 			}
-			switch unit := fields[i+1]; unit {
+			switch fields[i+1] {
 			case "ns/op":
 				r.NsPerOp = v
 			case "B/op":
 				r.BytesPerOp = v
 			case "allocs/op":
 				r.AllocsPerOp = v
-			default:
-				// Custom testing.B.ReportMetric units.
-				if strings.HasSuffix(unit, "/op") {
-					if r.Extra == nil {
-						r.Extra = make(map[string]float64)
-					}
-					r.Extra[unit] = v
-				}
 			}
 		}
 		doc.Benchmarks = append(doc.Benchmarks, r)
@@ -182,12 +160,11 @@ func load(path string) (map[string]Result, error) {
 	return m, nil
 }
 
-// runCompare fails when a benchmark present in both documents grew its
-// metric beyond the tolerance. Benchmarks only in one document are
-// reported but do not fail the gate (experiments come and go). A
-// non-empty nameList restricts the gate to those benchmarks, and then
-// a name absent from either document is an error, not a skip.
-func runCompare(basePath, newPath, metric, nameList string, tolerance float64) error {
+// runCompare fails when a gated benchmark — every baseline entry, or
+// the nameList entries when given — grew its metric beyond the
+// tolerance, or is missing from either document or lacks the metric
+// there.
+func runCompare(basePath, newPath, metric, nameList string) error {
 	if newPath == "" {
 		return fmt.Errorf("-compare requires -against")
 	}
@@ -200,8 +177,7 @@ func runCompare(basePath, newPath, metric, nameList string, tolerance float64) e
 		return err
 	}
 	var names []string
-	only := nameList != ""
-	if only {
+	if nameList != "" {
 		names = strings.Split(nameList, ",")
 	} else {
 		for name := range base {
@@ -213,27 +189,20 @@ func runCompare(basePath, newPath, metric, nameList string, tolerance float64) e
 	for _, name := range names {
 		b, ok := base[name]
 		if !ok {
-			if only {
-				return fmt.Errorf("%s: benchmark %q not present", basePath, name)
-			}
-			continue
+			return fmt.Errorf("%s: benchmark %q not present", basePath, name)
 		}
 		c, ok := cand[name]
 		if !ok {
-			if only {
-				return fmt.Errorf("%s: benchmark %q not present", newPath, name)
-			}
-			fmt.Printf("benchjson: %s: absent from %s (skipped)\n", name, newPath)
-			continue
+			return fmt.Errorf("%s: benchmark %q not present", newPath, name)
 		}
 		bv, ok := b.Metric(metric)
-		if !ok || bv <= 0 {
-			if only {
-				return fmt.Errorf("%s: benchmark %q has no %q metric", basePath, name, metric)
-			}
-			continue // baseline has no data for this benchmark/metric
+		if !ok {
+			return fmt.Errorf("%s: benchmark %q has no %q metric", basePath, name, metric)
 		}
-		cv, _ := c.Metric(metric)
+		cv, ok := c.Metric(metric)
+		if !ok {
+			return fmt.Errorf("%s: benchmark %q has no %q metric", newPath, name, metric)
+		}
 		growth := (cv - bv) / bv
 		status := "ok"
 		if growth > tolerance {
@@ -247,50 +216,5 @@ func runCompare(basePath, newPath, metric, nameList string, tolerance float64) e
 		return fmt.Errorf("%s regression (> %.0f%%) in: %s",
 			metric, tolerance*100, strings.Join(failed, ", "))
 	}
-	return nil
-}
-
-// runFlat fails unless every named benchmark reports the metric and the
-// relative spread (max/min - 1) stays within the tolerance — the
-// steady-state flatness gate for O(1) metric state.
-func runFlat(path, metric, nameList string, tolerance float64) error {
-	if path == "" {
-		return fmt.Errorf("-flat requires -against")
-	}
-	names := strings.Split(nameList, ",")
-	if nameList == "" || len(names) < 2 {
-		return fmt.Errorf("-flat requires -names with at least two benchmarks")
-	}
-	doc, err := load(path)
-	if err != nil {
-		return err
-	}
-	var lo, hi float64
-	for i, name := range names {
-		r, ok := doc[name]
-		if !ok {
-			return fmt.Errorf("%s: benchmark %q not present", path, name)
-		}
-		v, ok := r.Metric(metric)
-		if !ok {
-			return fmt.Errorf("%s: benchmark %q has no %q metric", path, name, metric)
-		}
-		if v <= 0 {
-			return fmt.Errorf("%s: benchmark %q reports non-positive %q (%v)", path, name, metric, v)
-		}
-		fmt.Printf("benchjson: %-32s %s = %.0f\n", name, metric, v)
-		if i == 0 || v < lo {
-			lo = v
-		}
-		if i == 0 || v > hi {
-			hi = v
-		}
-	}
-	spread := hi/lo - 1
-	if spread > tolerance {
-		return fmt.Errorf("%s spread %.1f%% exceeds %.0f%% across %s",
-			metric, spread*100, tolerance*100, nameList)
-	}
-	fmt.Printf("benchjson: %s flat within %.1f%% (tolerance %.0f%%)\n", metric, spread*100, tolerance*100)
 	return nil
 }

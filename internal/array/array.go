@@ -72,7 +72,8 @@ type Array struct {
 
 	nextReqID   uint64
 	inFlight    int
-	gcActive    map[int]bool // per flat FIMM id
+	gcActive    map[int]bool  // per flat FIMM id
+	gcRound     []*ftl.GCPlan // per flat FIMM id: the in-flight background plan (gcVeto)
 	gcRounds    uint64
 	gcDeferrals uint64
 	migrations  uint64
@@ -130,6 +131,7 @@ func New(cfg Config) (*Array, error) {
 		faultCtrs:      newFaultCounters(recorder.Registry()),
 		rcSlots:        simx.NewResource(eng, "rc-queue", cfg.RCQueueEntries),
 		gcActive:       make(map[int]bool),
+		gcRound:        make([]*ftl.GCPlan, cfg.Geometry.TotalFIMMs()),
 		pendingFlush:   make(map[topo.PPN]bool),
 		pendingByBlock: make(map[topo.PPN]int),
 		staleOnFlush:   make(map[topo.PPN]bool),

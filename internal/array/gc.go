@@ -47,8 +47,10 @@ func (a *Array) gcStep(id topo.FIMMID) {
 		a.gcActive[flat] = false
 		return
 	}
+	a.gcRound[flat] = plan
 	a.execGCMoves(plan, 0, func() {
 		a.eraseVictim(plan, func() {
+			a.gcRound[flat] = nil
 			a.gcRounds++
 			a.gcStep(id) // keep collecting while pressured
 		})
@@ -102,9 +104,13 @@ func (a *Array) execGCMoves(plan *ftl.GCPlan, i int, done func()) {
 	ep.Submit(readCmd)
 }
 
-// gcVeto excludes blocks with buffered (unflushed) programs from
-// victim selection.
+// gcVeto excludes from victim selection blocks with buffered
+// (unflushed) programs and the victim of the FIMM's in-flight
+// background round.
 func (a *Array) gcVeto(victim topo.PPN) bool {
+	if round := a.gcRound[victim.FIMMID().Flat(a.cfg.Geometry)]; round != nil && round.Victim == victim {
+		return true
+	}
 	return a.pendingByBlock[victim.BlockKey()] > 0
 }
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"triplea/internal/simx"
+	"triplea/internal/topo"
 	"triplea/internal/trace"
 )
 
@@ -121,5 +122,43 @@ func TestGCVetoProtectsPendingBlocks(t *testing.T) {
 	delete(a.pendingByBlock, bk)
 	if a.gcVeto(wa.New) {
 		t.Error("clean block vetoed")
+	}
+}
+
+func TestEmergencyGCSkipsInFlightVictim(t *testing.T) {
+	// The emergency path must not reclaim the victim of a background
+	// round that is still relocating it: erasing and freeing that block
+	// under the round makes the round's own completion fail its
+	// bookkeeping. Step an overwrite workload until a background round
+	// is in flight, fire the emergency path on the same FIMM, then
+	// finish the run.
+	a, err := New(gcConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := overwriteTrace(20, 4, simx.Millisecond/2)
+	flat := -1
+	for i := 0; i < len(reqs) && flat < 0; i++ {
+		a.Submit(reqs[i])
+		for flat < 0 && a.Engine().Step() {
+			for f := 0; f < a.cfg.Geometry.TotalFIMMs() && flat < 0; f++ {
+				if a.gcActive[f] {
+					flat = f
+				}
+			}
+		}
+	}
+	if flat < 0 {
+		t.Fatal("no background GC round started")
+	}
+	id := topo.FIMMFromFlat(a.cfg.Geometry, flat)
+	before := a.FTL().Stats().GCErases
+	a.runGCNow(id)
+	if a.FTL().Stats().GCErases == before {
+		t.Fatal("emergency GC reclaimed nothing; the collision is not exercised")
+	}
+	a.Engine().Run()
+	if err := a.CheckConsistency(); err != nil {
+		t.Fatal(err)
 	}
 }

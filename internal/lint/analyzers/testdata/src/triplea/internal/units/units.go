@@ -1,6 +1,7 @@
 // Package units is a miniature stand-in for the repository's real
 // internal/units, giving fixtures the quantity types, unit constants,
-// and named helpers the units analyzer keys on.
+// and named helpers the units analyzer keys on. As a defining package
+// it converts its own types freely; only the simx.Time rules apply.
 package units
 
 import "triplea/internal/simx"
@@ -55,3 +56,6 @@ func TransferTime(n Bytes, bw BytesPerSec) simx.Time {
 func ScaleByPages(per simx.Time, n Pages) simx.Time {
 	return per * simx.Time(n)
 }
+
+// settle is the one finding here: a unit-less simulated time.
+var settle simx.Time = 500 // want `bare numeric literal used as simx\.Time in variable declaration`

@@ -1,7 +1,8 @@
-// Package st exercises the simtime analyzer: simx.Time/time.Duration
-// conversions must use the audited bridge, and unit-less literals must
-// not pose as simulated time.
-package st
+package un
+
+// The simx.Time rules: simulated and wall-clock time must not be
+// converted into each other, and unit-less literals must not pose as
+// simulated time.
 
 import (
 	"time"
@@ -36,6 +37,8 @@ func declarations() {
 	deadline = 7                 // want `bare numeric literal used as simx\.Time in assignment`
 	deadline = 0
 	deadline = 3 * simx.Second
+	//simlint:units the units audit marker does not cover simulated time
+	deadline = 11 // want `bare numeric literal used as simx\.Time in assignment`
 	_ = deadline
 
 	_ = config{Timeout: 99, Retries: 3} // want `bare numeric literal used as simx\.Time in field Timeout`

@@ -34,7 +34,7 @@ func erasure(size units.Bytes, pages units.Pages, lanes units.Lanes, t simx.Time
 	_ = float64(lanes) // want `conversion of units\.Lanes to float64 erases the unit`
 	_ = size.Int64()   // the accessor is the sanctioned path
 	_ = pages.Int()
-	_ = int64(t)    // simx.Time erasure is simtime's business, not flagged here
+	_ = int64(t)    // simx.Time erasure stays legal (nanosecond math)
 	_ = uint64(ppn) // PPN address math needs raw bits, not flagged
 	//simlint:units audited: stdlib interface wants a plain int64
 	_ = int64(size)

@@ -1,4 +1,4 @@
-package st
+package un
 
 import "triplea/internal/simx"
 

@@ -24,16 +24,24 @@ import (
 //   - a conversion from a units type to a basic numeric type —
 //     int64(bytes) — erases the unit invisibly; use the Int/Int64
 //     accessor methods, which are greppable and named;
-//   - a bare numeric literal where a units type is expected hides its
-//     unit; write 4*units.KiB, not units.Bytes(4096).
+//   - a conversion between simx.Time and time.Duration mixes simulated
+//     and wall-clock time: both count nanoseconds, which is exactly why
+//     simx.Time(d) compiles and "works" until either side's unit
+//     changes;
+//   - a bare numeric literal where a unit type is expected hides its
+//     unit; write 4*units.KiB, not units.Bytes(4096), and
+//     500*simx.Nanosecond, not eng.ScheduleEvent(500, h, 0).
 //
-// The 0 and -1 literal sentinels stay legal, test files are exempt,
-// and the packages defining the unit types (internal/units,
-// internal/simx, internal/topo) are exempt: the helpers themselves
-// must convert. An audited site is silenced with //simlint:units.
+// The 0 and -1 literal sentinels stay legal and test files are exempt.
+// The packages defining the unit types (internal/units, internal/simx,
+// internal/topo) are exempt from the units-type rules, because the
+// helpers themselves must convert; an audited site elsewhere is
+// silenced with //simlint:units. The simx.Time rules (Duration mixing,
+// bare literals) cannot be suppressed and skip only internal/simx,
+// which defines the time unit constants.
 var Units = &analysis.Analyzer{
 	Name: "units",
-	Doc:  "flag cross-unit conversions, unit-erasing conversions, and bare literals around the internal/units quantity types",
+	Doc:  "flag cross-unit conversions, unit-erasing conversions, time.Duration/simx.Time mixing, and bare literals around the unit types",
 	Run:  runUnits,
 }
 
@@ -56,14 +64,15 @@ func unitTypeName(t types.Type) (string, bool) {
 
 // isUnitsScalar reports whether t is one of the internal/units types
 // proper (excluding simx.Time and topo.PPN, whose erasures are legal:
-// simtime audits the Time boundary, and PPN address math needs ints).
+// simulated time prints and compares as nanoseconds, and PPN address
+// math needs ints).
 func isUnitsScalar(t types.Type) bool {
 	name, ok := unitTypeName(t)
 	return ok && name != "simx.Time" && name != "topo.PPN"
 }
 
-// unitDefiningPackages are exempt from the units rules: they implement
-// the audited conversion helpers.
+// unitDefiningPackages are exempt from the units-type rules: they
+// implement the audited conversion helpers.
 var unitDefiningPackages = []string{
 	"internal/units",
 	"internal/simx",
@@ -71,9 +80,15 @@ var unitDefiningPackages = []string{
 }
 
 func runUnits(pass *analysis.Pass) (any, error) {
-	if pass.Pkg != nil && inPackageSet(pass.Pkg.Path(), unitDefiningPackages) {
-		return nil, nil
+	var path string
+	if pass.Pkg != nil {
+		path = pass.Pkg.Path()
 	}
+	if hasPathSuffix(path, "internal/simx") {
+		return nil, nil // simx defines Time and its unit constants
+	}
+	// In the other defining packages only the simx.Time rules apply.
+	timeOnly := inPackageSet(path, unitDefiningPackages)
 	info := pass.TypesInfo
 	for _, file := range pass.Files {
 		if isTestFile(pass, file.Pos()) {
@@ -82,15 +97,13 @@ func runUnits(pass *analysis.Pass) (any, error) {
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.CallExpr:
-				checkUnitsCall(pass, n)
+				checkUnitsCall(pass, n, timeOnly)
 			case *ast.CompositeLit:
-				checkUnitsComposite(pass, n)
+				checkUnitsComposite(pass, n, timeOnly)
 			case *ast.ValueSpec:
 				if n.Type != nil {
-					if name, ok := unitTypeName(info.TypeOf(n.Type)); ok && name != "simx.Time" {
-						for _, v := range n.Values {
-							reportUnitsLiteral(pass, v, name, "variable declaration")
-						}
+					for _, v := range n.Values {
+						checkUnitsLiteral(pass, v, info.TypeOf(n.Type), "variable declaration", timeOnly)
 					}
 				}
 			case *ast.AssignStmt:
@@ -98,9 +111,7 @@ func runUnits(pass *analysis.Pass) (any, error) {
 					if i >= len(n.Lhs) {
 						break
 					}
-					if name, ok := unitTypeName(info.TypeOf(n.Lhs[i])); ok && name != "simx.Time" {
-						reportUnitsLiteral(pass, rhs, name, "assignment")
-					}
+					checkUnitsLiteral(pass, rhs, info.TypeOf(n.Lhs[i]), "assignment", timeOnly)
 				}
 			}
 			return true
@@ -110,9 +121,9 @@ func runUnits(pass *analysis.Pass) (any, error) {
 }
 
 // checkUnitsCall handles conversions T(x) — the cross-unit, erasing,
-// and bare-literal rules — plus ordinary calls whose parameters carry
-// units types (bare-literal rule).
-func checkUnitsCall(pass *analysis.Pass, call *ast.CallExpr) {
+// Duration-mixing and bare-literal rules — plus ordinary calls whose
+// parameters carry unit types (bare-literal rule).
+func checkUnitsCall(pass *analysis.Pass, call *ast.CallExpr, timeOnly bool) {
 	info := pass.TypesInfo
 	if tv, ok := info.Types[call.Fun]; ok && tv.IsType() {
 		if len(call.Args) != 1 {
@@ -124,23 +135,28 @@ func checkUnitsCall(pass *analysis.Pass, call *ast.CallExpr) {
 		targetName, targetIsUnit := unitTypeName(target)
 		argName, argIsUnit := unitTypeName(argT)
 		switch {
-		case targetIsUnit && argIsUnit && targetName != argName:
+		case isSimxTime(target) && isDuration(argT):
+			pass.Reportf(call.Pos(),
+				"conversion of time.Duration to simx.Time bypasses the unit boundary; simulated time must not be derived from wall-clock durations")
+		case isDuration(target) && isSimxTime(argT):
+			pass.Reportf(call.Pos(),
+				"conversion of simx.Time to time.Duration bypasses the unit boundary; print simulated spans with simx.Time's own String and Micros")
+		case !timeOnly && targetIsUnit && argIsUnit && targetName != argName:
 			if suppressed(pass, call.Pos(), "units") {
 				return
 			}
 			pass.Reportf(call.Pos(),
 				"conversion of %s to %s crosses units; use a named units helper (units.PagesToBytes, units.TransferTime, units.ScaleByPages, ...)",
 				argName, targetName)
-		case !targetIsUnit && argIsUnit && isUnitsScalar(argT) && isBasicNumeric(target):
+		case !timeOnly && !targetIsUnit && argIsUnit && isUnitsScalar(argT) && isBasicNumeric(target):
 			if suppressed(pass, call.Pos(), "units") {
 				return
 			}
 			pass.Reportf(call.Pos(),
 				"conversion of %s to %s erases the unit; use the %s accessor method",
 				argName, target.String(), accessorFor(target))
-		case targetIsUnit && targetName != "simx.Time":
-			// simtime owns the simx.Time literal rule.
-			reportUnitsLiteral(pass, arg, targetName, "conversion")
+		default:
+			checkUnitsLiteral(pass, arg, target, "conversion", timeOnly)
 		}
 		return
 	}
@@ -160,16 +176,13 @@ func checkUnitsCall(pass *analysis.Pass, call *ast.CallExpr) {
 		case i < params.Len():
 			pt = params.At(i).Type()
 		}
-		if pt == nil {
-			continue
-		}
-		if name, isUnit := unitTypeName(pt); isUnit && name != "simx.Time" {
-			reportUnitsLiteral(pass, arg, name, "argument")
+		if pt != nil {
+			checkUnitsLiteral(pass, arg, pt, "argument", timeOnly)
 		}
 	}
 }
 
-func checkUnitsComposite(pass *analysis.Pass, lit *ast.CompositeLit) {
+func checkUnitsComposite(pass *analysis.Pass, lit *ast.CompositeLit, timeOnly bool) {
 	info := pass.TypesInfo
 	t := info.TypeOf(lit)
 	if t == nil {
@@ -189,34 +202,40 @@ func checkUnitsComposite(pass *analysis.Pass, lit *ast.CompositeLit) {
 			continue
 		}
 		for i := 0; i < st.NumFields(); i++ {
-			f := st.Field(i)
-			if f.Name() != key.Name {
-				continue
-			}
-			if name, isUnit := unitTypeName(f.Type()); isUnit && name != "simx.Time" {
-				reportUnitsLiteral(pass, kv.Value, name, "field "+key.Name)
+			if f := st.Field(i); f.Name() == key.Name {
+				checkUnitsLiteral(pass, kv.Value, f.Type(), "field "+key.Name, timeOnly)
 			}
 		}
 	}
 }
 
-// reportUnitsLiteral flags e when it is a bare numeric literal
+// checkUnitsLiteral flags e when it is a bare numeric literal
 // (optionally negated) other than the 0 and -1 sentinels flowing into
-// a position typed as unit type typeName.
-func reportUnitsLiteral(pass *analysis.Pass, e ast.Expr, typeName, where string) {
-	lit, _ := literalOf(e)
-	if lit == nil {
+// a position of unit type t. A simx.Time position is always checked
+// and cannot be suppressed; the other unit types are skipped when
+// timeOnly and honour //simlint:units.
+func checkUnitsLiteral(pass *analysis.Pass, e ast.Expr, t types.Type, where string, timeOnly bool) {
+	typeName, ok := unitTypeName(t)
+	if !ok {
 		return
 	}
-	if isZeroOrMinusOne(pass, e) {
+	isTime := typeName == "simx.Time"
+	if timeOnly && !isTime {
 		return
 	}
-	if suppressed(pass, e.Pos(), "units") {
+	if lit, _ := literalOf(e); lit == nil || isZeroOrMinusOne(pass, e) {
 		return
+	}
+	if !isTime && suppressed(pass, e.Pos(), "units") {
+		return
+	}
+	example := "4*units.KiB, 8*units.Lane"
+	if isTime {
+		example = "500*simx.Nanosecond"
 	}
 	pass.Reportf(e.Pos(),
-		"bare numeric literal used as %s in %s hides its unit; multiply by a unit constant (e.g. 4*units.KiB, 8*units.Lane)",
-		typeName, where)
+		"bare numeric literal used as %s in %s hides its unit; multiply by a unit constant (e.g. %s)",
+		typeName, where, example)
 }
 
 // isBasicNumeric reports whether t is an unnamed basic integer or
@@ -260,4 +279,30 @@ func intValueOf(pass *analysis.Pass, e ast.Expr) (int64, bool) {
 	}
 	v, exact := constant.Int64Val(constant.ToInt(tv.Value))
 	return v, exact
+}
+
+// literalOf unwraps e to a basic literal, tracking one leading minus.
+func literalOf(e ast.Expr) (*ast.BasicLit, bool) {
+	e = unparen(e)
+	neg := false
+	if u, ok := e.(*ast.UnaryExpr); ok {
+		if u.Op.String() != "-" {
+			return nil, false
+		}
+		neg = true
+		e = unparen(u.X)
+	}
+	lit, ok := e.(*ast.BasicLit)
+	if !ok {
+		return nil, false
+	}
+	return lit, neg
+}
+
+func typeAsSignature(t types.Type) (*types.Signature, bool) {
+	if t == nil {
+		return nil, false
+	}
+	sig, ok := t.Underlying().(*types.Signature)
+	return sig, ok
 }

@@ -13,6 +13,7 @@ func TestUnits(t *testing.T) {
 
 func TestUnitsExemptInDefiningPackage(t *testing.T) {
 	// The fake units package converts freely — it implements the
-	// audited helpers — and must produce no findings.
+	// audited helpers — so its only finding is the bare simx.Time
+	// literal: the simulated-time rules reach every package but simx.
 	analysistest.Run(t, "testdata", analyzers.Units, "triplea/internal/units")
 }

@@ -356,7 +356,6 @@ func All() []*analysis.Analyzer {
 		Globalrand,
 		Maporder,
 		Floateq,
-		Simtime,
 		Units,
 		Exhaustive,
 		Nospawn,

@@ -203,6 +203,59 @@ func TestStreamingFailureLogBounded(t *testing.T) {
 	}
 }
 
+// --- O(1) metric state ---
+
+// synthRecords feeds a recorder `requests` synthetic completions from a
+// seeded stream: a bursty submit clock and latencies spanning several
+// histogram octaves (~1µs .. ~16ms), so the streaming backend's
+// log-spaced buckets, windowed tracker and reservoir all see realistic
+// churn.
+func synthRecords(rec *Recorder, requests int) {
+	rng := simx.NewRNG(42)
+	var clock simx.Time
+	for i := 0; i < requests; i++ {
+		clock += simx.Time(rng.Intn(2000)) * simx.Nanosecond
+		lat := simx.Time(2000+rng.Intn(1<<uint(10+rng.Intn(14)))) * simx.Nanosecond
+		kind := Read
+		if rng.Bool(0.3) {
+			kind = Write
+		}
+		rec.Record(Record{
+			ID:        uint64(i),
+			Kind:      kind,
+			Pages:     1,
+			Submit:    clock,
+			Complete:  clock + lat,
+			Breakdown: Breakdown{Texe: lat / 2, LinkWait: lat / 4},
+		})
+	}
+}
+
+// TestStreamingFootprintFlat is the O(1)-state contract of the
+// streaming backend (docs/metrics.md): ten times the requests must not
+// grow the recorder's metric footprint by more than 10%
+// (max/min - 1 <= 0.10). Both runs measure 117,760 bytes today.
+func TestStreamingFootprintFlat(t *testing.T) {
+	footprint := func(requests int) int {
+		rec := NewRecorderWith(Streaming, 0)
+		synthRecords(rec, requests)
+		if rec.Count() != requests {
+			t.Fatalf("recorded %d of %d", rec.Count(), requests)
+		}
+		n := rec.FootprintBytes()
+		if n <= 0 {
+			t.Fatalf("%d requests: non-positive footprint %d", requests, n)
+		}
+		t.Logf("%d requests: %d bytes", requests, n)
+		return n
+	}
+	small, large := footprint(100_000), footprint(1_000_000)
+	lo, hi := min(small, large), max(small, large)
+	if spread := float64(hi)/float64(lo) - 1; spread > 0.10 {
+		t.Errorf("streaming footprint spread %.1f%% (%d..%d bytes) exceeds 10%%", spread*100, lo, hi)
+	}
+}
+
 // --- histogram internals ---
 
 // TestBucketIndexMid pins the HDR bucket layout: every value maps to a

@@ -127,9 +127,6 @@ func (s *Switch) AddDownstream(l *Link) int {
 	return len(s.down) - 1
 }
 
-// NumDownstream reports the downstream port count.
-func (s *Switch) NumDownstream() int { return len(s.down) }
-
 // Forwarded reports how many packets the switch has routed.
 func (s *Switch) Forwarded() uint64 { return s.forwarded }
 

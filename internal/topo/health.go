@@ -98,16 +98,6 @@ func (h *Health) SetFIMM(id FIMMID, s FIMMState) {
 	h.fimms[id.Flat(h.g)] = s
 }
 
-// Readable reports whether data resident on the FIMM can be read: the
-// module is alive and its cluster is reachable (online or degraded —
-// a degraded cluster keeps serving while it evacuates).
-func (h *Health) Readable(id FIMMID) bool {
-	if h == nil {
-		return true
-	}
-	return h.FIMM(id) == FIMMOnline && h.Cluster(id.ClusterID) != ClusterOffline
-}
-
 // Placeable reports whether new data may be placed on the FIMM: the
 // module is alive and its cluster fully online.
 func (h *Health) Placeable(id FIMMID) bool {
@@ -120,9 +110,4 @@ func (h *Health) Placeable(id FIMMID) bool {
 // ClusterPlaceable reports whether a cluster accepts new data.
 func (h *Health) ClusterPlaceable(id ClusterID) bool {
 	return h == nil || h.Cluster(id) == ClusterOnline
-}
-
-// ClusterReadable reports whether a cluster still serves I/O.
-func (h *Health) ClusterReadable(id ClusterID) bool {
-	return h == nil || h.Cluster(id) != ClusterOffline
 }
