@@ -500,21 +500,35 @@ func (*nopReceiver) OnEvent(uint64)              {}
 func (*nopReceiver) OnGrant(uint64, simx.Time)   {}
 func (*nopReceiver) OnNandDone(simx.Time, error) {}
 
+// BenchmarkEngineScheduleFire schedules and fires one event per op
+// against a standing queue of 1,024 pending events, so each op sifts
+// through a heap of simulator depth.
 func BenchmarkEngineScheduleFire(b *testing.B) {
 	eng := simx.NewEngine()
 	h := &nopReceiver{}
+	for i := 0; i < 1024; i++ {
+		eng.ScheduleEvent(simx.Time(i), h, 0)
+	}
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng.ScheduleEvent(1, h, 0)
+		eng.ScheduleEvent(simx.Time(i*7919%1024), h, 0)
 		eng.Step()
 	}
 }
 
+// BenchmarkResourceAcquireRelease queues one acquirer and grants one
+// per op behind a standing backlog of 16 waiters.
 func BenchmarkResourceAcquireRelease(b *testing.B) {
 	eng := simx.NewEngine()
 	r := simx.NewResource(eng, "bench", 1)
 	g := &nopReceiver{}
+	r.TryAcquire()
+	for i := 0; i < 16; i++ {
+		r.AcquireG(g, 0)
+	}
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.AcquireG(g, 0)
 		r.Release()

@@ -6,8 +6,7 @@ package cluster
 // release point (delivery for reads, flush retirement for writes).
 // Plain single-threaded state — not sync.Pool — per the nospawn rule.
 type CommandPool struct {
-	free    *Command
-	freeLen int
+	free *Command
 }
 
 // Get pops a recycled command (zeroed) or allocates a fresh one.
@@ -19,7 +18,6 @@ func (p *CommandPool) Get() *Command {
 		return c
 	}
 	p.free = c.next
-	p.freeLen--
 	c.ck.Checkout("cluster.Command")
 	*c = Command{}
 	return c
@@ -38,8 +36,4 @@ func (p *CommandPool) Put(c *Command) {
 	c.ep, c.from = nil, nil
 	c.next = p.free
 	p.free = c
-	p.freeLen++
 }
-
-// Free reports how many recycled commands are idle in the pool.
-func (p *CommandPool) Free() int { return p.freeLen }

@@ -230,17 +230,3 @@ func (fa *fimmAlloc) denseLPN(f *FTL, ppn topo.PPN) (int64, bool) {
 	fp := f.denseFP(ppn)
 	return f.lpnFromHome(ppn.FIMMID().Flat(g), fp), true
 }
-
-// wear summarises erases on this FIMM.
-func (fa *fimmAlloc) wear() FIMMWear {
-	w := FIMMWear{Erases: fa.erases}
-	for _, u := range fa.units {
-		//simlint:ordered commutative max over blocks
-		for _, bi := range u.touched {
-			if bi.erase > w.MaxBlock {
-				w.MaxBlock = bi.erase
-			}
-		}
-	}
-	return w
-}

@@ -289,8 +289,8 @@ func TestGCCycle(t *testing.T) {
 	if f.Stats().GCErases != 1 {
 		t.Errorf("GCErases = %d", f.Stats().GCErases)
 	}
-	if f.Wear(id).Erases != 1 {
-		t.Errorf("Wear.Erases = %d", f.Wear(id).Erases)
+	if f.Erases(id) != 1 {
+		t.Errorf("Erases = %d", f.Erases(id))
 	}
 	if f.TotalErases() != 1 {
 		t.Errorf("TotalErases = %d", f.TotalErases())

@@ -106,11 +106,6 @@ var hotCertified = []funcRef{
 	// simx engine surface invoked per event
 	{"internal/simx", "Engine", "Now"},
 	{"internal/simx", "Engine", "Step"},
-	{"internal/simx", "eventHeap", "Len"},
-	{"internal/simx", "eventHeap", "Less"},
-	{"internal/simx", "eventHeap", "Swap"},
-	{"internal/simx", "eventHeap", "Push"},
-	{"internal/simx", "eventHeap", "Pop"},
 	{"internal/simx", "Resource", "Release"},
 	{"internal/simx", "Resource", "TryAcquire"},
 	{"internal/simx", "Resource", "InUse"},
@@ -158,7 +153,7 @@ var hotCertified = []funcRef{
 	{"internal/units", "Pages", "Int"},
 	{"internal/units", "Pages", "Int64"},
 	// FTL mapping bookkeeping invoked per IO. The GC planning surface
-	// (PlanGC, AllocateGCMove, CompleteGCErase, Prepopulate, Wear) is
+	// (PlanGC, AllocateGCMove, CompleteGCErase, Prepopulate) is
 	// deliberately absent: garbage collection runs per reclaimed block,
 	// not per event, and its callers are audited //simlint:cold.
 	{"internal/ftl", "FTL", "Lookup"},
@@ -170,7 +165,7 @@ var hotCertified = []funcRef{
 	{"internal/ftl", "FTL", "AbortBlock"},
 	{"internal/ftl", "FTL", "GCPressure"},
 	{"internal/ftl", "FTL", "MinFreeBlocks"},
-	{"internal/ftl", "FTL", "Wear"},
+	{"internal/ftl", "FTL", "Erases"},
 	// cluster/array/device accessors used by handlers per event
 	{"internal/cluster", "Command", "SetPageAddr"},
 	{"internal/cluster", "Endpoint", "ID"},
@@ -216,14 +211,6 @@ var hotCertified = []funcRef{
 	{"container/list", "List", "Remove"},
 	{"container/list", "List", "Len"},
 	{"container/list", "List", "Back"},
-	// container/heap is the one stdlib dependency of the event loop;
-	// Fix/Pop/Push call back into the certified eventHeap methods and
-	// perform no allocation themselves (Push's amortized growth lives
-	// in eventHeap.Push, audited there).
-	{"container/heap", "", "Init"},
-	{"container/heap", "", "Push"},
-	{"container/heap", "", "Pop"},
-	{"container/heap", "", "Fix"},
 }
 
 // hotPureStdlib lists stdlib packages whose exported functions neither

@@ -11,9 +11,8 @@ import (
 )
 
 // Poolsafe enforces the ownership discipline of the repository's
-// intrusive object pools (simx events and waiters, pcie packets,
-// cluster commands, the array's request/pageRef nodes, and the
-// per-engine operation states). The hot path threads these objects
+// intrusive object pools (pcie packets, cluster commands, the array's
+// request/pageRef nodes, and the per-engine operation states). The hot path threads these objects
 // through hand-placed release points; the runtime simx.PoolCheck guard
 // only catches misuse on paths a test happens to execute, so this
 // analyzer proves the same properties statically, per function, over
@@ -84,16 +83,6 @@ var poolTable = []*poolSpec{
 		releases: []funcRef{{"internal/array", "Array", "recycleRef"}},
 	},
 	{
-		name: "simx.event", pkg: "internal/simx", typ: "event",
-		acquires: []funcRef{{"internal/simx", "Engine", "newEvent"}},
-		releases: []funcRef{{"internal/simx", "Engine", "recycle"}},
-	},
-	{
-		name: "simx.waiter", pkg: "internal/simx", typ: "waiter",
-		acquires: []funcRef{{"internal/simx", "Resource", "newWaiter"}},
-		releases: []funcRef{{"internal/simx", "Resource", "recycleWaiter"}},
-	},
-	{
 		name: "pcie.pendingSend", pkg: "internal/pcie", typ: "pendingSend",
 		acquires: []funcRef{{"internal/pcie", "Link", "newPS"}},
 		releases: []funcRef{{"internal/pcie", "Link", "recyclePS"}},
@@ -128,8 +117,6 @@ var handoffSinks = []funcRef{
 	{"internal/simx", "Engine", "ScheduleEvent"},
 	{"internal/simx", "Engine", "AtEvent"},
 	{"internal/simx", "Resource", "AcquireG"},
-	{"internal/simx", "Resource", "enqueue"},
-	{"container/heap", "", "Push"},
 	{"internal/pcie", "Link", "Send"},
 	{"internal/pcie", "Link", "transmit"},
 	{"internal/pcie", "RootComplex", "Inject"},
@@ -155,17 +142,13 @@ type fieldKey struct {
 // parked in: the stored object's ownership rides the container from
 // that point (pkt.Meta carries the command across the fabric, ref.down
 // parks the page's packet, a link's sendQ holds credit-stalled sends,
-// the endpoint queue holds admitted commands, and the resource wait
-// list holds queued waiter nodes).
+// and the endpoint queue holds admitted commands).
 var handoffStores = []fieldKey{
 	{"internal/pcie", "Packet", "Meta"},
 	{"internal/cluster", "Command", "Meta"},
 	{"internal/array", "pageRef", "down"},
 	{"internal/pcie", "Link", "sendQ"},
 	{"internal/cluster", "Endpoint", "pending"},
-	{"internal/simx", "Resource", "waitHead"},
-	{"internal/simx", "Resource", "waitTail"},
-	{"internal/simx", "waiter", "next"},
 }
 
 // handoffMarker is the audited escape hatch: a //simlint:handoff

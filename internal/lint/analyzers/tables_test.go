@@ -14,7 +14,7 @@ import (
 // TestRegistrationTablesNameDeclaredFuncs checks that every function
 // the hotzero and poolsafe tables register is declared in the
 // non-test sources of the package it names — the module's own
-// packages, or the standard library for rows such as container/heap.
+// packages, or the standard library for rows such as errors.Is.
 // A row whose function was renamed or deleted would otherwise sit in
 // the table matching nothing, certifying a hot path that no longer
 // exists.

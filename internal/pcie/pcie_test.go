@@ -31,6 +31,11 @@ func (s *sink) ackAll() {
 	s.froms = nil
 }
 
+// acceptRecorder counts credit-accept notifications.
+type acceptRecorder struct{ n int }
+
+func (a *acceptRecorder) OnLinkAccepted(*Packet) { a.n++ }
+
 func TestKindString(t *testing.T) {
 	if MemRead.String() != "MemRd" || MemWrite.String() != "MemWr" ||
 		Completion.String() != "Cpl" || Kind(9).String() != "?" {
@@ -84,11 +89,11 @@ func TestLinkDelivery(t *testing.T) {
 	dst := &sink{autoACK: true}
 	l := NewLink(eng, "l", 4_000_000_000, 100, 4, dst) // 4 GB/s, 100ns prop
 	pkt := &Packet{ID: 1, Kind: Completion, Payload: 4096}
-	accepted := false
-	l.Send(pkt, AcceptedFunc(func(*Packet) { accepted = true }))
+	acc := &acceptRecorder{}
+	l.Send(pkt, acc)
 	eng.Run()
 
-	if !accepted {
+	if acc.n != 1 {
 		t.Error("accepted callback did not fire")
 	}
 	if len(dst.pkts) != 1 || dst.pkts[0] != pkt {

@@ -9,10 +9,7 @@
 // reproducible for a given input.
 package simx
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "fmt"
 
 // Time is a simulated instant or duration in nanoseconds.
 type Time int64
@@ -44,60 +41,39 @@ func (t Time) String() string {
 // Micros reports t as a floating-point number of microseconds.
 func (t Time) Micros() float64 { return float64(t) / float64(Microsecond) }
 
-// Handler is a typed event receiver. The engine pre-binds a Handler
-// plus one integer argument into a pooled event node; when the event
-// fires, OnEvent runs with that argument. Models store their
-// per-operation state in pooled structs that implement Handler (the
-// interface holds only a pointer, so the conversion never allocates)
-// and use arg as a phase discriminator.
+// Handler is a typed event receiver. The engine stores a Handler plus
+// one integer argument in its queue entry; when the event fires,
+// OnEvent runs with that argument. Models store their per-operation
+// state in pooled structs that implement Handler (the interface holds
+// only a pointer, so the conversion never allocates) and use arg as a
+// phase discriminator.
 type Handler interface {
 	OnEvent(arg uint64)
 }
 
-// event is a scheduled handler invocation. Nodes are engine-owned and
-// recycled onto an intrusive free-list the moment they fire, so the
-// steady-state hot path schedules without allocating.
+// event is a scheduled handler invocation, held by value in the
+// engine's heap.
 type event struct {
 	when Time
 	seq  uint64
 	h    Handler
 	arg  uint64
-	next *event // free-list link while recycled
-	ck   ckLife // pooled-lifecycle guard; empty unless -tags simcheck
 }
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].when != h[j].when {
-		return h[i].when < h[j].when
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any) {
-	*h = append(*h, x.(*event)) //simlint:coldalloc amortized: event-heap growth
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
+// before is the queue order: earlier time first, then scheduling order.
+func (ev *event) before(o *event) bool {
+	return ev.when < o.when || ev.when == o.when && ev.seq < o.seq
 }
 
 // Engine is a single-threaded discrete-event simulator.
 // The zero value is not usable; call NewEngine.
 type Engine struct {
-	now     Time
-	events  eventHeap
-	seq     uint64
-	fired   uint64
-	free    *event // recycled event nodes (intrusive free-list)
-	freeLen int
-	ck      ckState // empty unless built with -tags simcheck
+	now    Time
+	events []event // binary min-heap ordered by event.before
+	seq    uint64
+	fired  uint64
+	peak   int     // most events ever pending at once
+	ck     ckState // empty unless built with -tags simcheck
 }
 
 // NewEngine returns an engine with the clock at zero and no pending events.
@@ -129,68 +105,69 @@ func (e *Engine) AtEvent(t Time, h Handler, arg uint64) {
 	if h == nil {
 		panic("simx: nil event handler")
 	}
-	ev := e.newEvent()
 	e.seq++
-	ev.when, ev.seq, ev.h, ev.arg = t, e.seq, h, arg
-	heap.Push(&e.events, ev)
-	if simcheckEnabled {
-		e.ckSchedule(ev)
-	}
-}
-
-// newEvent pops a recycled event node or allocates a fresh one — the
-// registered acquire point of the simx.event pool (its release is
-// recycle).
-func (e *Engine) newEvent() *event {
-	ev := e.free
-	if ev != nil {
-		e.free = ev.next
-		e.freeLen--
-		if simcheckEnabled {
-			ev.ck.Checkout("simx.event")
+	ev := event{when: t, seq: e.seq, h: h, arg: arg}
+	e.events = append(e.events, ev) //simlint:coldalloc amortized: event-heap growth
+	q := e.events
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !ev.before(&q[p]) {
+			break
 		}
-		ev.next = nil
-	} else {
-		ev = &event{} //simlint:coldalloc pool miss: event free-list refill
-		if simcheckEnabled {
-			ev.ck.Fresh("simx.event")
-		}
+		q[i] = q[p]
+		i = p
 	}
-	return ev
-}
-
-// recycle pushes a fired event node back onto the free-list.
-func (e *Engine) recycle(ev *event) {
+	q[i] = ev
+	e.peak = max(e.peak, len(q))
 	if simcheckEnabled {
-		ev.ck.Release("simx.event")
+		e.ckSchedule(t)
 	}
-	ev.h = nil
-	ev.next = e.free
-	e.free = ev
-	e.freeLen++
 }
 
-// EventPoolFree reports how many recycled event nodes are idle — the
-// steady-state footprint of the event pool (tests and diagnostics).
-func (e *Engine) EventPoolFree() int { return e.freeLen }
+// EventPoolFree reports the most events that were ever pending at
+// once: the length the event heap has grown to (tests and diagnostics).
+func (e *Engine) EventPoolFree() int { return e.peak }
 
 // Step fires the next event, if any, advancing the clock to its time.
 // It reports whether an event fired.
 func (e *Engine) Step() bool {
-	if len(e.events) == 0 {
+	q := e.events
+	n := len(q) - 1
+	if n < 0 {
 		return false
 	}
-	ev := heap.Pop(&e.events).(*event)
+	ev := q[0]
 	if simcheckEnabled {
-		e.ckStep(ev)
+		e.ckStep(ev.when)
+	}
+	// Sift the last entry down from the root, then drop the vacated
+	// slot's handler reference.
+	last := q[n]
+	q[n] = event{}
+	q = q[:n]
+	e.events = q
+	if n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if c+1 < n && q[c+1].before(&q[c]) {
+				c++
+			}
+			if !q[c].before(&last) {
+				break
+			}
+			q[i] = q[c]
+			i = c
+		}
+		q[i] = last
 	}
 	e.now = ev.when
 	e.fired++
-	// Recycle before invoking: the handler usually schedules its next
-	// hop immediately, reusing this hot node.
-	h, arg := ev.h, ev.arg
-	e.recycle(ev)
-	h.OnEvent(arg)
+	ev.h.OnEvent(ev.arg)
 	return true
 }
 

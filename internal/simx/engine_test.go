@@ -162,17 +162,22 @@ func TestPropertyEventOrdering(t *testing.T) {
 
 func TestEngineIntrospection(t *testing.T) {
 	eng := NewEngine()
+	if eng.Fired() != 0 || eng.EventPoolFree() != 0 {
+		t.Errorf("new engine: Fired = %d, EventPoolFree = %d", eng.Fired(), eng.EventPoolFree())
+	}
 	schedule(eng, 25, func() {})
 	schedule(eng, 30, func() {})
-	if eng.Fired() != 0 || eng.EventPoolFree() != 0 {
-		t.Errorf("before run: Fired = %d, EventPoolFree = %d", eng.Fired(), eng.EventPoolFree())
+	if eng.EventPoolFree() != 2 {
+		t.Errorf("EventPoolFree with two pending = %d, want 2", eng.EventPoolFree())
 	}
+	eng.Step()
+	schedule(eng, 5, func() {}) // back to two pending: no new high-water
 	eng.Run()
-	if eng.Fired() != 2 {
-		t.Errorf("Fired after run = %d, want 2", eng.Fired())
+	if eng.Fired() != 3 {
+		t.Errorf("Fired after run = %d, want 3", eng.Fired())
 	}
 	if eng.EventPoolFree() != 2 {
-		t.Errorf("EventPoolFree after run = %d, want 2", eng.EventPoolFree())
+		t.Errorf("EventPoolFree after run = %d, want the high-water 2", eng.EventPoolFree())
 	}
 }
 

@@ -48,25 +48,3 @@ func TestAssertDrainedNamesLeakedPool(t *testing.T) {
 	}
 	ck.Release(pool) // repair the ledger for later tests in this process
 }
-
-// TestEngineEventsDrain runs a small event cascade to completion and
-// checks the event pool's ledger entry returns to its starting point.
-func TestEngineEventsDrain(t *testing.T) {
-	snap := SnapshotLedger()
-	eng := NewEngine()
-	h := &countHandler{}
-	for i := 0; i < 8; i++ {
-		eng.ScheduleEvent(Time(i)*Microsecond, h, uint64(i))
-	}
-	eng.Run()
-	if h.n != 8 {
-		t.Fatalf("fired %d events, want 8", h.n)
-	}
-	if err := AssertDrained(snap); err != nil {
-		t.Fatalf("drained engine still holds pooled objects: %v", err)
-	}
-}
-
-type countHandler struct{ n int }
-
-func (h *countHandler) OnEvent(arg uint64) { h.n++ }

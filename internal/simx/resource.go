@@ -14,10 +14,12 @@ type Resource struct {
 	capacity int
 	inUse    int
 
-	waitHead *waiter
-	waitTail *waiter
-	waitLen  int
-	freeW    *waiter // recycled waiter nodes
+	// waitQ[waitHead:] are the queued acquirers, oldest first. Release
+	// copies the pending suffix down once the consumed prefix reaches
+	// half the slice, so storage stays within about twice the longest
+	// backlog.
+	waitQ    []waiter
+	waitHead int
 
 	// busy-time integral bookkeeping
 	busyNS     Time // accumulated nanoseconds during which at least one slot was held
@@ -35,8 +37,6 @@ type waiter struct {
 	g       Grantee
 	arg     uint64
 	arrived Time
-	next    *waiter
-	ck      ckLife
 }
 
 // NewResource returns a resource with the given slot count (>=1).
@@ -50,14 +50,11 @@ func NewResource(eng *Engine, name string, capacity int) *Resource {
 // Name reports the resource's diagnostic name.
 func (r *Resource) Name() string { return r.name }
 
-// Capacity reports the number of slots.
-func (r *Resource) Capacity() int { return r.capacity }
-
 // InUse reports how many slots are currently held.
 func (r *Resource) InUse() int { return r.inUse }
 
 // QueueLen reports how many acquirers are waiting.
-func (r *Resource) QueueLen() int { return r.waitLen }
+func (r *Resource) QueueLen() int { return len(r.waitQ) - r.waitHead }
 
 func (r *Resource) integrate() {
 	now := r.eng.Now()
@@ -71,8 +68,7 @@ func (r *Resource) integrate() {
 }
 
 // AcquireG requests a slot: g.OnGrant(arg, waited) runs synchronously
-// if a slot is free, otherwise when one frees up. Queued waiters live
-// on pooled nodes recycled at grant time.
+// if a slot is free, otherwise when one frees up, in arrival order.
 func (r *Resource) AcquireG(g Grantee, arg uint64) {
 	if g == nil {
 		panic("simx: nil acquire grantee")
@@ -81,49 +77,7 @@ func (r *Resource) AcquireG(g Grantee, arg uint64) {
 		g.OnGrant(arg, 0)
 		return
 	}
-	w := r.newWaiter()
-	w.g, w.arg = g, arg
-	r.enqueue(w)
-}
-
-// newWaiter pops a recycled waiter node or allocates a fresh one.
-func (r *Resource) newWaiter() *waiter {
-	w := r.freeW
-	if w != nil {
-		r.freeW = w.next
-		if simcheckEnabled {
-			w.ck.Checkout("simx.waiter")
-		}
-		w.next = nil
-	} else {
-		w = &waiter{} //simlint:coldalloc pool miss: waiter free-list refill
-		if simcheckEnabled {
-			w.ck.Fresh("simx.waiter")
-		}
-	}
-	w.arrived = r.eng.Now()
-	return w
-}
-
-// recycleWaiter pushes a granted waiter node back onto the free-list —
-// the registered release point of the simx.waiter pool.
-func (r *Resource) recycleWaiter(w *waiter) {
-	w.g = nil
-	if simcheckEnabled {
-		w.ck.Release("simx.waiter")
-	}
-	w.next = r.freeW
-	r.freeW = w
-}
-
-func (r *Resource) enqueue(w *waiter) {
-	if r.waitTail == nil {
-		r.waitHead = w
-	} else {
-		r.waitTail.next = w
-	}
-	r.waitTail = w
-	r.waitLen++
+	r.waitQ = append(r.waitQ, waiter{g: g, arg: arg, arrived: r.eng.Now()}) //simlint:coldalloc amortized: wait-queue growth
 }
 
 // TryAcquire takes a slot if one is free, reporting success. It never queues.
@@ -143,22 +97,18 @@ func (r *Resource) Release() {
 	}
 	r.integrate()
 	r.inUse--
-	if r.waitHead == nil {
+	if r.waitHead == len(r.waitQ) {
 		return
 	}
-	w := r.waitHead
-	r.waitHead = w.next
-	if r.waitHead == nil {
-		r.waitTail = nil
+	w := r.waitQ[r.waitHead]
+	r.waitHead++
+	if 2*r.waitHead >= len(r.waitQ) {
+		n := copy(r.waitQ, r.waitQ[r.waitHead:])
+		clear(r.waitQ[n:])
+		r.waitQ, r.waitHead = r.waitQ[:n], 0
 	}
-	r.waitLen--
 	r.inUse++
-	waited := r.eng.Now() - w.arrived
-	// Recycle the node before invoking: the grantee often re-queues
-	// immediately and reuses it.
-	g, arg := w.g, w.arg
-	r.recycleWaiter(w)
-	g.OnGrant(arg, waited)
+	w.g.OnGrant(w.arg, r.eng.Now()-w.arrived)
 }
 
 // BusyNS reports the accumulated time during which at least one slot was

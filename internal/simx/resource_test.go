@@ -242,8 +242,8 @@ func TestRNGFork(t *testing.T) {
 func TestResourceIntrospection(t *testing.T) {
 	eng := NewEngine()
 	r := NewResource(eng, "intro", 2)
-	if r.Name() != "intro" || r.Capacity() != 2 {
-		t.Errorf("accessors: %q/%d", r.Name(), r.Capacity())
+	if r.Name() != "intro" || r.capacity != 2 {
+		t.Errorf("accessors: %q/%d", r.Name(), r.capacity)
 	}
 }
 

@@ -9,11 +9,12 @@ const simcheckEnabled = false
 // ckState is empty without the tag, so the Engine pays no space.
 type ckState struct{}
 
-func (e *Engine) ckSchedule(ev *event) {}
-func (e *Engine) ckStep(ev *event)     {}
+func (e *Engine) ckSchedule(when Time) {}
+func (e *Engine) ckStep(when Time)     {}
 
-// PoolCheck is the pooled-object lifecycle guard. Pooled types (event
-// nodes here, pcie.Packet, cluster.Command, ...) embed one and their
+// PoolCheck is the pooled-object lifecycle guard. Pooled types
+// (pcie.Packet, cluster.Command, nand and fimm operation states, ...)
+// embed one and their
 // pools call Checkout/Release around free-list traffic; hot entry
 // points call InUse. Without the simcheck tag it is an empty struct
 // with no-op methods, so the guard compiles away entirely.
@@ -34,9 +35,6 @@ func (*PoolCheck) Release(what string) {}
 // InUse asserts the object has not been released (panics on
 // use-after-release under -tags simcheck).
 func (*PoolCheck) InUse(what string) {}
-
-// ckLife is the engine-internal alias for the guard.
-type ckLife = PoolCheck
 
 // CheckActive reports whether the simcheck invariant checks (and their
 // process-global leak ledger) are compiled in; false here, so

@@ -121,23 +121,20 @@ func AssertDrained(snap map[string]int) error {
 	return fmt.Errorf("simcheck: pooled objects leaked: %s", strings.Join(leaks, "; "))
 }
 
-// ckLife is the engine-internal alias for the guard.
-type ckLife = PoolCheck
-
-// ckSchedule validates a newly pushed event and periodically sweeps
-// the whole heap.
-func (e *Engine) ckSchedule(ev *event) {
-	if ev.when < e.now {
-		panic(fmt.Sprintf("simcheck: scheduled event at %v is in the past (now %v)", ev.when, e.now))
+// ckSchedule validates a newly pushed event's time and periodically
+// sweeps the whole heap.
+func (e *Engine) ckSchedule(when Time) {
+	if when < e.now {
+		panic(fmt.Sprintf("simcheck: scheduled event at %v is in the past (now %v)", when, e.now))
 	}
 	e.ckMaybeVerifyHeap()
 }
 
 // ckStep enforces event-time monotonicity: the clock never moves
 // backwards, because the heap always yields the earliest pending event.
-func (e *Engine) ckStep(ev *event) {
-	if ev.when < e.now {
-		panic(fmt.Sprintf("simcheck: next event at %v precedes now %v; event order violated", ev.when, e.now))
+func (e *Engine) ckStep(when Time) {
+	if when < e.now {
+		panic(fmt.Sprintf("simcheck: next event at %v precedes now %v; event order violated", when, e.now))
 	}
 	e.ckMaybeVerifyHeap()
 }
@@ -153,12 +150,13 @@ func (e *Engine) ckMaybeVerifyHeap() {
 // heap ordering holds between every parent and child, and no pending
 // event is in the past.
 func (e *Engine) ckVerifyHeap() {
-	for i, ev := range e.events {
-		if ev.when < e.now {
-			panic(fmt.Sprintf("simcheck: pending event at %v is before now %v", ev.when, e.now))
+	q := e.events
+	for i := range q {
+		if q[i].when < e.now {
+			panic(fmt.Sprintf("simcheck: pending event at %v is before now %v", q[i].when, e.now))
 		}
-		for _, c := range []int{2*i + 1, 2*i + 2} { //simlint:coldalloc simcheck diagnostics: not a measured build
-			if c < len(e.events) && e.events.Less(c, i) {
+		for c := 2*i + 1; c <= 2*i+2 && c < len(q); c++ {
+			if q[c].before(&q[i]) {
 				panic(fmt.Sprintf("simcheck: heap property violated between slot %d and child %d", i, c))
 			}
 		}

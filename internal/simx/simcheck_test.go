@@ -44,12 +44,11 @@ func TestSimcheckDetectsCorruptHeap(t *testing.T) {
 func TestSimcheckDetectsPastEvent(t *testing.T) {
 	eng := NewEngine()
 	schedule(eng, Millisecond, func() {})
-	ev := eng.events[0]
 	eng.now = 2 * Millisecond // move the clock past the pending event
 	defer func() {
 		if recover() == nil {
 			t.Fatal("ckStep accepted an event before the clock")
 		}
 	}()
-	eng.ckStep(ev)
+	eng.ckStep(eng.events[0].when)
 }
