@@ -74,7 +74,9 @@ bench-check:
 # CI's smoke job (see docs/performance.md), writing only to the
 # gitignored .smoke/: one pass over every figure/table benchmark into
 # .smoke/bench.json, the three reduced study tables CI keeps as
-# artifacts, then two gates on that one JSON. Every BENCH_PR3.json
+# artifacts, a fresh `-experiment all` diffed against the committed
+# results_full.txt (only its `(completed in ...)` timing line may
+# differ), then two gates on that one JSON. Every BENCH_PR3.json
 # benchmark must be present and within 10% on allocs/op (the pooled hot
 # path stays allocation-free), and Table02Baseline within 10% of
 # BENCH_PR10.json on ns/op (the decision recorder's zero-overhead-off
@@ -89,6 +91,8 @@ smoke:
 		-switches 2 -clusters 8 | tee .smoke/regret-table.txt
 	$(GO) run ./cmd/triplea-bench -experiment table1 -requests 4000 \
 		-switches 2 -clusters 4 -metrics streaming | tee .smoke/table1-streaming.txt
+	$(GO) run ./cmd/triplea-bench -experiment all > .smoke/results_full.txt
+	diff -I '^(completed in ' results_full.txt .smoke/results_full.txt
 	$(GO) run ./cmd/benchjson -compare BENCH_PR3.json -against .smoke/bench.json
 	$(GO) run ./cmd/benchjson -compare BENCH_PR10.json -against .smoke/bench.json \
 		-metric ns/op -names Table02Baseline
