@@ -180,7 +180,7 @@ func (a *Array) build() {
 
 	for s := 0; s < g.Switches; s++ {
 		s := s
-		sw := pcie.NewSwitch(a.eng, fmt.Sprintf("sw%d", s), cfg.SwitchRouteLatency,
+		sw := pcie.NewSwitch(fmt.Sprintf("sw%d", s), cfg.SwitchRouteLatency,
 			func(pkt *pcie.Packet) int {
 				if pkt.Kind == pcie.Completion || addrSwitch(pkt.Addr) != s {
 					return pcie.Upstream
@@ -404,18 +404,17 @@ func (req *request) OnEvent(arg uint64) {
 
 // pageRef links a page command back to its request and downstream
 // packet. Refs are pooled per-page continuations: they queue for an RC
-// slot (simx.Grantee), launch through the per-block program gate
-// (launcher), and observe their packet's RC acceptance (pcie.Accepted).
+// slot (simx.Grantee) and launch through the per-block program gate
+// (launcher).
 type pageRef struct {
-	arr          *Array
-	req          *request
-	lpn          int64
-	down         *pcie.Packet
-	rcInjectWait simx.Time
-	admitWait    simx.Time
-	retries      int
-	next         *pageRef // free-list link
-	ck           simx.PoolCheck
+	arr       *Array
+	req       *request
+	lpn       int64
+	down      *pcie.Packet
+	admitWait simx.Time
+	retries   int
+	next      *pageRef // free-list link
+	ck        simx.PoolCheck
 }
 
 // OnGrant implements simx.Grantee: an RC queue entry is ours; waiting
@@ -427,13 +426,7 @@ func (ref *pageRef) OnGrant(arg uint64, waited simx.Time) {
 
 // launch implements launcher: inject the page's packet at the RC.
 func (ref *pageRef) launch() {
-	ref.arr.rc.Inject(ref.down, ref)
-}
-
-// OnLinkAccepted implements pcie.Accepted: the packet left the RC's
-// internal queue; snapshot the RC-side queueing it accumulated.
-func (ref *pageRef) OnLinkAccepted(pkt *pcie.Packet) {
-	ref.rcInjectWait = pkt.QueueWait
+	ref.arr.rc.Inject(ref.down)
 }
 
 func (a *Array) newReq() *request {
@@ -504,7 +497,7 @@ func (a *Array) retryRead(ref *pageRef) {
 	pkt.ID, pkt.Kind, pkt.Addr = ref.req.id, pcie.MemRead, routeAddr(ppn.ClusterID())
 	pkt.Meta = cmd
 	ref.down = pkt
-	a.rc.Inject(pkt, nil)
+	a.rc.Inject(pkt)
 }
 
 // Submit enters one host request at the current simulated time.
@@ -727,7 +720,7 @@ func (a *Array) staleDeviceNow(ppn topo.PPN) {
 func (a *Array) deliver(pkt *pcie.Packet) {
 	if pkt.Kind != pcie.Completion {
 		// Cross-switch background transfer: send back downstream.
-		a.rc.Inject(pkt, nil)
+		a.rc.Inject(pkt)
 		return
 	}
 	cmd, ok := pkt.Meta.(*cluster.Command)
@@ -768,9 +761,8 @@ func (a *Array) deliver(pkt *pcie.Packet) {
 
 	down, up := ref.down, pkt
 	var b metrics.Breakdown
-	b.RCStall = ref.admitWait + ref.rcInjectWait
-	b.SwitchStall = (down.QueueWait - ref.rcInjectWait) + down.CreditWait + down.WireWait +
-		up.QueueWait + up.CreditWait + up.WireWait
+	b.RCStall = ref.admitWait
+	b.SwitchStall = down.CreditWait + down.WireWait + up.CreditWait + up.WireWait
 	b.EPWait = res.EPWait
 	b.StorageWait = res.StorageWait
 	b.LinkWait = res.LinkWait

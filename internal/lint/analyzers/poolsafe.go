@@ -83,16 +83,6 @@ var poolTable = []*poolSpec{
 		releases: []funcRef{{"internal/array", "Array", "recycleRef"}},
 	},
 	{
-		name: "pcie.pendingSend", pkg: "internal/pcie", typ: "pendingSend",
-		acquires: []funcRef{{"internal/pcie", "Link", "newPS"}},
-		releases: []funcRef{{"internal/pcie", "Link", "recyclePS"}},
-	},
-	{
-		name: "pcie.fwd", pkg: "internal/pcie", typ: "fwd",
-		acquires: []funcRef{{"internal/pcie", "Switch", "newFwd"}},
-		releases: []funcRef{{"internal/pcie", "Switch", "recycleFwd"}},
-	},
-	{
 		name: "pcie.rcOp", pkg: "internal/pcie", typ: "rcOp",
 		acquires: []funcRef{{"internal/pcie", "RootComplex", "newOp"}},
 		releases: []funcRef{{"internal/pcie", "RootComplex", "recycleOp"}},
@@ -141,13 +131,15 @@ type fieldKey struct {
 // handoffStores are the continuation fields a pooled pointer may be
 // parked in: the stored object's ownership rides the container from
 // that point (pkt.Meta carries the command across the fabric, ref.down
-// parks the page's packet, a link's sendQ holds credit-stalled sends,
-// and the endpoint queue holds admitted commands).
+// parks the page's packet, a link's sendQ holds credit-stalled sends and
+// its inflight ring the packets awaiting delivery, and the endpoint
+// queue holds admitted commands).
 var handoffStores = []fieldKey{
 	{"internal/pcie", "Packet", "Meta"},
 	{"internal/cluster", "Command", "Meta"},
 	{"internal/array", "pageRef", "down"},
 	{"internal/pcie", "Link", "sendQ"},
+	{"internal/pcie", "Link", "inflight"},
 	{"internal/cluster", "Endpoint", "pending"},
 }
 

@@ -24,8 +24,8 @@ import (
 // FIMM toward storage contention. They are views onto RCStall +
 // SwitchStall, so Total excludes them.
 type Breakdown struct {
-	RCStall     simx.Time // waiting for root-complex queue admission / port
-	SwitchStall simx.Time // held in switch ingress for a busy egress
+	RCStall     simx.Time // waiting for root-complex queue admission
+	SwitchStall simx.Time // PCI-E credit and wire waits, request and completion
 	EPWait      simx.Time // endpoint queue / write-buffer admission
 	StorageWait simx.Time // die queueing inside the FIMM (storage contention)
 	LinkWait    simx.Time // FIMM channel + cluster shared bus queueing (link contention)

@@ -32,8 +32,8 @@ type Receiver interface {
 // Accepted is notified when a packet wins a credit and leaves the
 // sender's buffer — the moment an upstream device can free its own
 // ingress entry. It is an interface rather than a func so hot callers
-// (switches, the RC, the endpoints) can hand in pooled per-packet state
-// without allocating a closure per hop.
+// (switches, the endpoints) can hand in existing state without
+// allocating a closure per hop.
 type Accepted interface {
 	OnLinkAccepted(pkt *Packet)
 }
@@ -43,20 +43,38 @@ type Accepted interface {
 // number of virtual-channel buffer credits. With no credit available,
 // packets wait at the sender — that waiting is the link-level stall the
 // paper's flow-control discussion describes.
+//
+// The wire is an analytic capacity-1 FIFO server: a packet that wins
+// its credit at now serialises over [max(now, freeAt), +xfer), and one
+// event delivers it after propagation and the receiver's routing
+// latency. Delivery instants never decrease in send order, so the link
+// itself handles every delivery event, popping its in-flight ring.
 type Link struct {
 	eng  *simx.Engine
 	name string
 
 	bytesPerSec units.BytesPerSec
-	propagation simx.Time
+	// arrive is the delay from the end of serialisation to the packet
+	// being routed at the receiver: propagation plus the switch's or
+	// RC's routing latency (an endpoint routes nothing).
+	arrive simx.Time
+	freeAt simx.Time // when the wire finishes its last claim
 
-	wire    *simx.Resource
 	credits int
 	maxCred int
 	dst     Receiver
 
-	sendQ  []*pendingSend
-	freePS *pendingSend // recycled pendingSend nodes
+	// inflight is a ring of the packets holding a credit that have not
+	// been delivered yet, in send order. A credit returns only after
+	// its packet is delivered, so maxCred slots always suffice.
+	inflight      []*Packet
+	inHead, inLen int
+
+	// sendQ[sendHead:] are the credit-stalled sends, oldest first.
+	// ReturnCredit copies the pending suffix down once the consumed
+	// prefix reaches half the slice.
+	sendQ    []stalledSend
+	sendHead int
 
 	// rateScale > 0 stretches serialisation time — an injected link
 	// degradation, e.g. lanes trained down after an error (fault.go).
@@ -66,75 +84,13 @@ type Link struct {
 	packets     uint64
 	bytes       units.Bytes
 	creditStall simx.Time
-	maxSendQ    int
 }
 
-// pendingSend is the pooled per-packet transmission state: it queues
-// for a credit, acquires the wire (simx.Grantee), and carries the
-// packet through the serialisation and propagation events
-// (simx.Handler) before returning to the link's free-list.
-type pendingSend struct {
-	l        *Link
+// stalledSend is a send waiting at the sender for a receiver credit.
+type stalledSend struct {
 	pkt      *Packet
 	queued   simx.Time
 	accepted Accepted
-	xfer     simx.Time
-	next     *pendingSend
-	ck       simx.PoolCheck
-}
-
-// pendingSend event phases.
-const (
-	psXferDone uint64 = iota // wire serialisation finished
-	psDeliver                // propagation finished; hand to receiver
-)
-
-// OnGrant implements simx.Grantee: the local wire is ours.
-func (ps *pendingSend) OnGrant(arg uint64, waited simx.Time) {
-	ps.pkt.WireWait += waited
-	ps.xfer = ps.l.TransferTime(ps.pkt.Payload)
-	ps.l.eng.ScheduleEvent(ps.xfer, ps, psXferDone)
-}
-
-// OnEvent implements simx.Handler for the transmission phases.
-func (ps *pendingSend) OnEvent(arg uint64) {
-	l := ps.l
-	switch arg {
-	case psXferDone:
-		l.wire.Release()
-		ps.pkt.WireTime += ps.xfer
-		l.packets++
-		l.bytes += ps.pkt.Payload + TLPOverheadBytes
-		l.eng.ScheduleEvent(l.propagation, ps, psDeliver)
-	case psDeliver:
-		pkt := ps.pkt
-		l.recyclePS(ps)
-		l.dst.Receive(pkt, l)
-	default:
-		panic("pcie: unknown pendingSend phase")
-	}
-}
-
-// newPS pops a recycled node or allocates a fresh one.
-func (l *Link) newPS(pkt *Packet, accepted Accepted) *pendingSend {
-	ps := l.freePS
-	if ps != nil {
-		l.freePS = ps.next
-		ps.ck.Checkout("pcie.pendingSend")
-		ps.next = nil
-	} else {
-		ps = &pendingSend{l: l} //simlint:coldalloc pool miss: pendingSend free-list refill
-		ps.ck.Fresh("pcie.pendingSend")
-	}
-	ps.pkt, ps.queued, ps.accepted = pkt, l.eng.Now(), accepted
-	return ps
-}
-
-func (l *Link) recyclePS(ps *pendingSend) {
-	ps.pkt, ps.accepted = nil, nil
-	ps.ck.Release("pcie.pendingSend")
-	ps.next = l.freePS
-	l.freePS = ps
 }
 
 // NewLink builds a link delivering to dst with the given raw bandwidth,
@@ -146,18 +102,24 @@ func NewLink(eng *simx.Engine, name string, bytesPerSec units.BytesPerSec, propa
 	if credits < 1 {
 		panic(fmt.Sprintf("pcie: link %s needs at least one credit", name))
 	}
-	if dst == nil {
+	arrive := propagation
+	switch d := dst.(type) {
+	case nil:
 		panic(fmt.Sprintf("pcie: link %s has no receiver", name))
+	case *Switch:
+		arrive += d.routeLatency
+	case *RootComplex:
+		arrive += d.routeLatency
 	}
 	return &Link{
 		eng:         eng,
 		name:        name,
 		bytesPerSec: bytesPerSec,
-		propagation: propagation,
-		wire:        simx.NewResource(eng, name+".wire", 1),
+		arrive:      arrive,
 		credits:     credits,
 		maxCred:     credits,
 		dst:         dst,
+		inflight:    make([]*Packet, credits),
 	}
 }
 
@@ -183,66 +145,92 @@ func (l *Link) Send(pkt *Packet, accepted Accepted) {
 		panic("pcie: Send of nil packet")
 	}
 	pkt.ck.InUse("pcie.Packet")
-	ps := l.newPS(pkt, accepted)
 	if l.credits > 0 {
 		l.credits--
-		l.transmit(ps)
+		l.transmit(pkt, accepted)
 		return
 	}
-	l.sendQ = append(l.sendQ, ps) //simlint:coldalloc amortized: send-queue growth bounded by outstanding packets
-	if len(l.sendQ) > l.maxSendQ {
-		l.maxSendQ = len(l.sendQ)
-	}
+	l.sendQ = append(l.sendQ, stalledSend{pkt, l.eng.Now(), accepted}) //simlint:coldalloc amortized: send-queue growth bounded by outstanding packets
 }
 
 // ReturnCredit hands one VC buffer entry back to the sender, releasing
 // the oldest stalled packet if any.
 func (l *Link) ReturnCredit() {
-	if len(l.sendQ) > 0 {
-		ps := l.sendQ[0]
-		copy(l.sendQ, l.sendQ[1:])
-		l.sendQ = l.sendQ[:len(l.sendQ)-1]
-		stalled := l.eng.Now() - ps.queued
-		ps.pkt.CreditWait += stalled
-		l.creditStall += stalled
-		l.transmit(ps)
+	if l.sendHead == len(l.sendQ) {
+		l.credits++
+		if l.credits > l.maxCred {
+			panic("pcie: credit overflow on " + l.name)
+		}
 		return
 	}
-	l.credits++
-	if l.credits > l.maxCred {
-		panic("pcie: credit overflow on " + l.name)
+	s := l.sendQ[l.sendHead]
+	l.sendHead++
+	if 2*l.sendHead >= len(l.sendQ) {
+		n := copy(l.sendQ, l.sendQ[l.sendHead:])
+		clear(l.sendQ[n:])
+		l.sendQ, l.sendHead = l.sendQ[:n], 0
 	}
+	stalled := l.eng.Now() - s.queued
+	s.pkt.CreditWait += stalled
+	l.creditStall += stalled
+	l.transmit(s.pkt, s.accepted)
 }
 
-func (l *Link) transmit(ps *pendingSend) {
-	if ps.accepted != nil {
-		a := ps.accepted
-		ps.accepted = nil
-		a.OnLinkAccepted(ps.pkt)
+// OnLinkAccepted implements Accepted for a switch forwarding a packet
+// that arrived on this link: the packet left the switch's ingress
+// buffer, so its credit returns.
+func (l *Link) OnLinkAccepted(*Packet) { l.ReturnCredit() }
+
+// transmit puts a packet that holds a credit on the wire and schedules
+// its delivery.
+func (l *Link) transmit(pkt *Packet, accepted Accepted) {
+	if accepted != nil {
+		accepted.OnLinkAccepted(pkt)
 	}
-	l.wire.AcquireG(ps, 0)
+	if l.inLen == len(l.inflight) {
+		panic("pcie: more packets in flight than credits on " + l.name)
+	}
+	now := l.eng.Now()
+	start := max(now, l.freeAt)
+	xfer := l.TransferTime(pkt.Payload)
+	l.freeAt = start + xfer
+	pkt.WireWait += start - now
+	pkt.WireTime += xfer
+	l.packets++
+	l.bytes += pkt.Payload + TLPOverheadBytes
+	i := l.inHead + l.inLen
+	if i >= len(l.inflight) {
+		i -= len(l.inflight)
+	}
+	l.inflight[i] = pkt
+	l.inLen++
+	l.eng.AtEvent(l.freeAt+l.arrive, l, 0)
+}
+
+// OnEvent implements simx.Handler: the oldest in-flight packet arrives
+// at the receiver.
+func (l *Link) OnEvent(uint64) {
+	pkt := l.inflight[l.inHead]
+	l.inflight[l.inHead] = nil
+	l.inHead++
+	if l.inHead == len(l.inflight) {
+		l.inHead = 0
+	}
+	l.inLen--
+	l.dst.Receive(pkt, l)
 }
 
 // CreditsAvailable reports the sender-visible free credit count.
 func (l *Link) CreditsAvailable() int { return l.credits }
 
 // PendingSends reports packets stalled for credits.
-func (l *Link) PendingSends() int { return len(l.sendQ) }
+func (l *Link) PendingSends() int { return len(l.sendQ) - l.sendHead }
 
-// Packets reports how many packets completed wire serialisation.
+// Packets reports how many packets have been put on the wire.
 func (l *Link) Packets() uint64 { return l.packets }
 
-// Bytes reports total bytes serialised (overhead included).
+// Bytes reports total bytes put on the wire (overhead included).
 func (l *Link) Bytes() units.Bytes { return l.bytes }
 
 // CreditStallNS reports accumulated credit-stall time.
 func (l *Link) CreditStallNS() simx.Time { return l.creditStall }
-
-// BusyNS reports the wire's accumulated busy time.
-func (l *Link) BusyNS() simx.Time { return l.wire.BusyNS() }
-
-// UtilizationSince reports wire utilisation over a window (see
-// simx.Resource.UtilizationSince).
-func (l *Link) UtilizationSince(since simx.Time, busyAtSince simx.Time) float64 {
-	return l.wire.UtilizationSince(since, busyAtSince)
-}

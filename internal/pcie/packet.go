@@ -51,15 +51,9 @@ type Packet struct {
 	WireWait   simx.Time // stalled waiting for the local wire
 	WireTime   simx.Time // serialisation time on wires
 	RouteTime  simx.Time // switch/RC routing latencies
-	QueueWait  simx.Time // time parked in device buffers (switch ingress, EP downstream)
 
 	next *Packet        // free-list link while parked in a Pool
 	ck   simx.PoolCheck // pooled-lifecycle guard; empty unless -tags simcheck
-}
-
-// StallTotal reports all time the packet spent not moving.
-func (p *Packet) StallTotal() simx.Time {
-	return p.CreditWait + p.WireWait + p.QueueWait
 }
 
 func (p *Packet) String() string {

@@ -194,7 +194,7 @@ func TestLinkConstructorPanics(t *testing.T) {
 // buildSwitchFixture wires host --uplinkToSwitch--> switch --down[i]--> sinks
 // and switch --up--> rc sink.
 func buildSwitchFixture(eng *simx.Engine, nPorts int, route RouteFunc) (*Switch, []*sink, *sink, *Link) {
-	sw := NewSwitch(eng, "sw0", 150, route)
+	sw := NewSwitch("sw0", 150, route)
 	downSinks := make([]*sink, nPorts)
 	for i := 0; i < nPorts; i++ {
 		downSinks[i] = &sink{autoACK: true}
@@ -214,7 +214,7 @@ func TestSwitchRoutesByAddress(t *testing.T) {
 		}
 		return int(p.Addr % 4)
 	}
-	sw, downSinks, upSink, ingress := buildSwitchFixture(eng, 4, route)
+	_, downSinks, upSink, ingress := buildSwitchFixture(eng, 4, route)
 
 	for addr := uint64(0); addr < 8; addr++ {
 		ingress.Send(&Packet{ID: addr, Kind: MemRead, Addr: addr}, nil)
@@ -229,9 +229,6 @@ func TestSwitchRoutesByAddress(t *testing.T) {
 	}
 	if len(upSink.pkts) != 1 {
 		t.Errorf("upstream got %d packets, want 1", len(upSink.pkts))
-	}
-	if sw.Forwarded() != 9 {
-		t.Errorf("Forwarded = %d, want 9", sw.Forwarded())
 	}
 }
 
@@ -252,7 +249,7 @@ func TestSwitchRoutingLatencyCharged(t *testing.T) {
 func TestSwitchStallWhenEgressBlocked(t *testing.T) {
 	eng := simx.NewEngine()
 	route := func(*Packet) int { return 0 }
-	sw := NewSwitch(eng, "sw", 150, route)
+	sw := NewSwitch("sw", 150, route)
 	blocked := &sink{} // returns no credits
 	sw.AddDownstream(NewLink(eng, "down", 4_000_000_000, 0, 1, blocked))
 	ingress := NewLink(eng, "in", 16_000_000_000, 0, 8, sw)
@@ -273,22 +270,15 @@ func TestSwitchStallWhenEgressBlocked(t *testing.T) {
 	if len(blocked.pkts) != 2 {
 		t.Fatalf("second packet never delivered")
 	}
-	// The stall was credit-bound, so the link accounts it (the switch's
-	// holding metric excludes credit waits to avoid double counting).
+	// The stall was credit-bound, so the egress link accounts it.
 	if p2.CreditWait == 0 {
 		t.Error("stalled packet has zero CreditWait")
-	}
-	if p2.StallTotal() == 0 {
-		t.Error("stalled packet has zero total stall")
-	}
-	if sw.QueueStallNS() != 0 {
-		t.Errorf("switch double-counted credit stall: %v", sw.QueueStallNS())
 	}
 }
 
 func TestSwitchPanicsWithoutEgress(t *testing.T) {
 	eng := simx.NewEngine()
-	sw := NewSwitch(eng, "sw", 0, func(*Packet) int { return Upstream })
+	sw := NewSwitch("sw", 0, func(*Packet) int { return Upstream })
 	defer func() {
 		if recover() == nil {
 			t.Error("missing upstream link did not panic")
@@ -309,14 +299,11 @@ func TestRootComplexInjectAndReceive(t *testing.T) {
 		t.Fatalf("NumPorts = %d", rc.NumPorts())
 	}
 
-	rc.Inject(&Packet{Addr: 0, Kind: MemRead}, nil)
-	rc.Inject(&Packet{Addr: 1, Kind: MemRead}, nil)
+	rc.Inject(&Packet{Addr: 0, Kind: MemRead})
+	rc.Inject(&Packet{Addr: 1, Kind: MemRead})
 	eng.Run()
 	if len(s0.pkts) != 1 || len(s1.pkts) != 1 {
 		t.Errorf("port deliveries: %d, %d; want 1,1", len(s0.pkts), len(s1.pkts))
-	}
-	if rc.Injected() != 2 {
-		t.Errorf("Injected = %d, want 2", rc.Injected())
 	}
 
 	// Upstream: a completion arriving at the RC reaches the host sink.
@@ -326,9 +313,6 @@ func TestRootComplexInjectAndReceive(t *testing.T) {
 	eng.Run()
 	if len(delivered) != 1 || delivered[0] != cpl {
 		t.Fatalf("host sink got %d packets", len(delivered))
-	}
-	if rc.Delivered() != 1 {
-		t.Errorf("Delivered = %d, want 1", rc.Delivered())
 	}
 	if cpl.RouteTime != 200 {
 		t.Errorf("upstream RouteTime = %v, want 200", cpl.RouteTime)
@@ -343,14 +327,14 @@ func TestRootComplexBadPortPanics(t *testing.T) {
 			t.Error("bad RC port did not panic")
 		}
 	}()
-	rc.Inject(&Packet{}, nil)
+	rc.Inject(&Packet{})
 	eng.Run()
 }
 
 // Property: over any sequence of sends on a single-credit link with a
-// consumer that acks after a fixed service time, every packet is
-// delivered exactly once and total WireTime equals the sum of per-packet
-// transfer times.
+// consumer that acks on delivery, every packet is delivered exactly
+// once, total WireTime equals the sum of per-packet transfer times, and
+// the last delivery lands after every transfer and propagation in turn.
 func TestPropertyLinkConservation(t *testing.T) {
 	f := func(sizes []uint16) bool {
 		eng := simx.NewEngine()
@@ -375,7 +359,7 @@ func TestPropertyLinkConservation(t *testing.T) {
 			seen[p.ID] = true
 			gotWire += p.WireTime
 		}
-		return gotWire == wantWire && l.BusyNS() == wantWire
+		return gotWire == wantWire && eng.Now() == wantWire+simx.Time(len(sizes))*10
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
@@ -400,7 +384,29 @@ func TestRetrainOverlappingWindows(t *testing.T) {
 	if eng.Now() != want {
 		t.Errorf("packet delivered at %v, want %v (both windows, then the transfer)", eng.Now(), want)
 	}
-	if l.BusyNS() != want {
-		t.Errorf("wire busy %v, want %v", l.BusyNS(), want)
+}
+
+// TestRateScaleAppliesAtCreditWin pins when a rate change takes
+// effect: a packet's transfer time is fixed when it wins its credit,
+// so a packet already queued for the wire keeps the nominal rate and
+// only packets that win a credit after the change serialise slower.
+func TestRateScaleAppliesAtCreditWin(t *testing.T) {
+	eng := simx.NewEngine()
+	dst := &sink{autoACK: true}
+	l := NewLink(eng, "l", 1_000_000_000, 0, 2, dst) // 1 GB/s, two credits
+	a, b, c := &Packet{Payload: 1000}, &Packet{Payload: 1000}, &Packet{Payload: 1000}
+	l.Send(a, nil) // on the wire over [0, 1024)
+	l.Send(b, nil) // holds the second credit, queued behind a
+	l.Send(c, nil) // stalled until a's delivery returns a credit
+	l.SetRateScale(2)
+	eng.Run()
+	if a.WireTime != 1024 || b.WireTime != 1024 || c.WireTime != 2048 {
+		t.Errorf("WireTime a=%v b=%v c=%v, want 1024, 1024 (credit won before the change), 2048",
+			a.WireTime, b.WireTime, c.WireTime)
+	}
+	// c wins a's credit at 1024 and waits for b to leave the wire.
+	if c.CreditWait != 1024 || c.WireWait != 1024 || eng.Now() != 4096 {
+		t.Errorf("c: CreditWait %v, WireWait %v, delivered at %v; want 1024, 1024, 4096",
+			c.CreditWait, c.WireWait, eng.Now())
 	}
 }

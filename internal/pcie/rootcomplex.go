@@ -8,8 +8,8 @@ import (
 
 // RootComplex generates transactions on behalf of the host and routes
 // packets between its ports. Downstream it forwards host requests to
-// the switch selected by a route function; upstream it hands arriving
-// completions to the host sink after its internal routing latency.
+// the switch selected by a route function after its internal routing
+// latency; upstream it hands arriving completions to the host sink.
 type RootComplex struct {
 	eng          *simx.Engine
 	routeLatency simx.Time
@@ -18,76 +18,28 @@ type RootComplex struct {
 	deliver      func(pkt *Packet)
 
 	freeOp *rcOp // recycled routing nodes
-
-	injected   uint64
-	delivered  uint64
-	queueStall simx.Time
 }
 
-// rcOp is the pooled per-packet routing state for both directions: an
-// injected packet rides the route-latency event (simx.Handler), then
-// waits for its port to accept it (Accepted); an upstream packet rides
-// the same event type with a different phase argument.
+// rcOp is the pooled per-packet state of an injected packet: it rides
+// the route-latency event (simx.Handler) to its port.
 type rcOp struct {
-	rc         *RootComplex
-	pkt        *Packet
-	from       *Link
-	done       Accepted
-	held       simx.Time
-	credBefore simx.Time
-	next       *rcOp
-	ck         simx.PoolCheck
+	rc   *RootComplex
+	pkt  *Packet
+	next *rcOp
+	ck   simx.PoolCheck
 }
 
-// rcOp event phases.
-const (
-	rcInjectRoute  uint64 = iota // downstream: route then Send
-	rcReceiveRoute               // upstream: route then deliver to host
-)
-
-// OnEvent implements simx.Handler for the two routing directions.
-func (n *rcOp) OnEvent(arg uint64) {
-	rc := n.rc
-	switch arg {
-	case rcInjectRoute:
-		pkt := n.pkt
-		pkt.RouteTime += rc.routeLatency
-		port := rc.route(pkt) //simlint:coldalloc static topology dispatch: route bound once at build time
-		if port < 0 || port >= len(rc.ports) {
-			panic(fmt.Sprintf("pcie: RC route for %v returned bad port %d", pkt, port))
-		}
-		n.held = rc.eng.Now()
-		n.credBefore = pkt.CreditWait
-		rc.ports[port].Send(pkt, n)
-	case rcReceiveRoute:
-		pkt, from := n.pkt, n.from
-		rc.recycleOp(n)
-		pkt.RouteTime += rc.routeLatency
-		if from != nil {
-			from.ReturnCredit()
-		}
-		rc.delivered++
-		rc.deliver(pkt) //simlint:coldalloc static topology dispatch: route bound once at build time
-	default:
-		panic("pcie: unknown rcOp phase")
-	}
-}
-
-// OnLinkAccepted implements Accepted: the selected port took the
-// injected packet; charge the RC queue stall and chain to the caller.
-func (n *rcOp) OnLinkAccepted(pkt *Packet) {
-	rc := n.rc
-	// Holding time excluding the port's credit wait, which the link
-	// accounts separately.
-	stall := (rc.eng.Now() - n.held) - (pkt.CreditWait - n.credBefore)
-	pkt.QueueWait += stall
-	rc.queueStall += stall
-	rc.injected++
-	done := n.done
+// OnEvent implements simx.Handler: routing latency elapsed; send the
+// packet on its port.
+func (n *rcOp) OnEvent(uint64) {
+	rc, pkt := n.rc, n.pkt
 	rc.recycleOp(n)
-	if done != nil {
-		done.OnLinkAccepted(pkt)
+	pkt.RouteTime += rc.routeLatency
+	port := rc.route(pkt) //simlint:coldalloc static topology dispatch: route bound once at build time
+	if port < 0 || port >= len(rc.ports) {
+		panic(fmt.Sprintf("pcie: RC route for %v returned bad port %d", pkt, port))
 	}
+	rc.ports[port].Send(pkt, nil)
 }
 
 func (rc *RootComplex) newOp(pkt *Packet) *rcOp {
@@ -105,7 +57,7 @@ func (rc *RootComplex) newOp(pkt *Packet) *rcOp {
 }
 
 func (rc *RootComplex) recycleOp(n *rcOp) {
-	n.pkt, n.from, n.done = nil, nil, nil
+	n.pkt = nil
 	n.ck.Release("pcie.rcOp")
 	n.next = rc.freeOp
 	rc.freeOp = n
@@ -113,7 +65,7 @@ func (rc *RootComplex) recycleOp(n *rcOp) {
 
 // NewRootComplex builds a root complex. route selects the downstream
 // port for injected packets; deliver receives upstream packets (host
-// side) after routing latency.
+// side) once they are routed.
 func NewRootComplex(eng *simx.Engine, routeLatency simx.Time, route RouteFunc, deliver func(pkt *Packet)) *RootComplex {
 	if route == nil || deliver == nil {
 		panic("pcie: root complex needs route and deliver functions")
@@ -130,32 +82,21 @@ func (rc *RootComplex) AddPort(l *Link) int {
 // NumPorts reports the downstream port count.
 func (rc *RootComplex) NumPorts() int { return len(rc.ports) }
 
-// Inject sends a host-originated packet downstream. done (optional)
-// fires when the packet is accepted onto the selected port — until then
-// it occupies the RC's internal queue, and the caller charges RC stall.
-func (rc *RootComplex) Inject(pkt *Packet, done Accepted) {
+// Inject sends a host-originated packet downstream on the port its
+// route selects, after the routing latency.
+func (rc *RootComplex) Inject(pkt *Packet) {
 	pkt.ck.InUse("pcie.Packet")
-	n := rc.newOp(pkt)
-	n.done = done
-	rc.eng.ScheduleEvent(rc.routeLatency, n, rcInjectRoute)
+	rc.eng.ScheduleEvent(rc.routeLatency, rc.newOp(pkt), 0)
 }
 
 // Receive implements Receiver for upstream packets arriving from
-// switches: the packet is consumed into host memory after the routing
-// latency and its VC credit returns immediately thereafter.
+// switches. The link delivers a packet once the routing latency has
+// elapsed, so it is consumed into host memory at once and its VC
+// credit returns.
 func (rc *RootComplex) Receive(pkt *Packet, from *Link) {
-	n := rc.newOp(pkt)
-	n.from = from
-	rc.eng.ScheduleEvent(rc.routeLatency, n, rcReceiveRoute)
+	pkt.RouteTime += rc.routeLatency
+	from.ReturnCredit()
+	rc.deliver(pkt) //simlint:coldalloc static topology dispatch: deliver bound once at build time
 }
-
-// Injected reports packets sent downstream.
-func (rc *RootComplex) Injected() uint64 { return rc.injected }
-
-// Delivered reports packets handed to the host sink.
-func (rc *RootComplex) Delivered() uint64 { return rc.delivered }
-
-// QueueStallNS reports time injected packets waited for port acceptance.
-func (rc *RootComplex) QueueStallNS() simx.Time { return rc.queueStall }
 
 var _ Receiver = (*RootComplex)(nil)
