@@ -301,22 +301,15 @@ func (a *Array) ensureMapped(lpn int64) error { //simlint:cold first-touch prepo
 	if !need {
 		return nil
 	}
-	bk := ppn.BlockKey()
-	a.pendingFlush[ppn] = true
-	a.pendingByBlock[bk]++
+	a.markPending(ppn)
 	a.launchProgram(ppn, funcLauncher(func() {
 		if err := a.pkgAt(ppn).ForcePopulate(ppn.NandAddr(a.cfg.Geometry)); err != nil {
 			panic(fmt.Sprintf("array: prepopulate: %v", err))
 		}
-		delete(a.pendingFlush, ppn)
-		if a.pendingByBlock[bk]--; a.pendingByBlock[bk] == 0 {
-			delete(a.pendingByBlock, bk)
-		}
-		if a.staleOnFlush[ppn] {
-			delete(a.staleOnFlush, ppn)
+		if a.retirePending(ppn) {
 			a.staleDeviceNow(ppn)
 		}
-		a.releaseGate(bk)
+		a.releaseGate(ppn.BlockKey())
 	}))
 	return nil
 }
@@ -618,7 +611,7 @@ func (f funcLauncher) launch() { f() } //simlint:cold closure adapter for setup/
 // blockGate serialises program launches into one erase block.
 type blockGate struct {
 	busy    bool
-	waiting []launcher
+	waiting simx.FIFO[launcher]
 }
 
 // launchProgram starts a page program respecting per-block allocation
@@ -632,7 +625,7 @@ func (a *Array) launchProgram(ppn topo.PPN, l launcher) {
 		a.gates[bk] = g
 	}
 	if g.busy {
-		g.waiting = append(g.waiting, l) //simlint:coldalloc amortized: gate queue growth bounded by in-flight programs
+		g.waiting.Push(l)
 		return
 	}
 	g.busy = true
@@ -645,11 +638,8 @@ func (a *Array) releaseGate(bk topo.PPN) {
 	if g == nil {
 		return
 	}
-	if len(g.waiting) > 0 {
-		next := g.waiting[0]
-		g.waiting[0] = nil
-		g.waiting = g.waiting[:copy(g.waiting, g.waiting[1:])]
-		next.launch()
+	if g.waiting.Len() > 0 {
+		g.waiting.Pop().launch()
 		return
 	}
 	delete(a.gates, bk)
@@ -658,10 +648,30 @@ func (a *Array) releaseGate(bk topo.PPN) {
 // trackFlush registers an in-flight page program and arranges its
 // retirement when the endpoint flush completes (OnCommandFlushed).
 func (a *Array) trackFlush(ppn topo.PPN, cmd *cluster.Command) {
-	a.pendingFlush[ppn] = true
-	a.pendingByBlock[ppn.BlockKey()]++
+	a.markPending(ppn)
 	cmd.FlushPPN = ppn
 	cmd.Flushed = a
+}
+
+// markPending records a page program that has not reached flash yet.
+func (a *Array) markPending(ppn topo.PPN) {
+	a.pendingFlush[ppn] = true
+	a.pendingByBlock[ppn.BlockKey()]++
+}
+
+// retirePending clears a page program's pending-flush record and
+// reports whether a stale-mark was deferred on it (markStaleDevice).
+func (a *Array) retirePending(ppn topo.PPN) (staleDeferred bool) {
+	delete(a.pendingFlush, ppn)
+	bk := ppn.BlockKey()
+	if a.pendingByBlock[bk]--; a.pendingByBlock[bk] == 0 {
+		delete(a.pendingByBlock, bk)
+	}
+	if !a.staleOnFlush[ppn] {
+		return false
+	}
+	delete(a.staleOnFlush, ppn)
+	return true
 }
 
 // OnCommandFlushed implements cluster.FlushedH: a tracked page program
@@ -675,18 +685,10 @@ func (a *Array) OnCommandFlushed(c *cluster.Command) {
 	if failed && !(a.faultsArmed && isFaultError(c.Result.Err)) {
 		panic(fmt.Sprintf("array: flush of %v failed: %v", ppn, c.Result.Err))
 	}
-	delete(a.pendingFlush, ppn)
-	bk := ppn.BlockKey()
-	if a.pendingByBlock[bk]--; a.pendingByBlock[bk] == 0 {
-		delete(a.pendingByBlock, bk)
-	}
-	if a.staleOnFlush[ppn] {
-		delete(a.staleOnFlush, ppn)
-		// A failed flush never programmed the page, so there is no
-		// device page to stale-mark; the deferred mark just evaporates.
-		if !failed {
-			a.staleDeviceNow(ppn)
-		}
+	// A failed flush never programmed the page, so there is no device
+	// page to stale-mark; a deferred mark just evaporates.
+	if a.retirePending(ppn) && !failed {
+		a.staleDeviceNow(ppn)
 	}
 	if failed {
 		a.failFlushedWrite(ppn)
@@ -696,7 +698,7 @@ func (a *Array) OnCommandFlushed(c *cluster.Command) {
 	} else {
 		c.RetireMark = true
 	}
-	a.releaseGate(bk)
+	a.releaseGate(ppn.BlockKey())
 }
 
 // markStaleDevice mirrors an FTL stale-mark onto the device page,

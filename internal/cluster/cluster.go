@@ -760,10 +760,3 @@ var (
 	_ simx.Grantee  = (*Command)(nil)
 	_ simx.Handler  = (*Command)(nil)
 )
-
-// DebugOccupancy reports internal resource occupancy (diagnostics).
-func (ep *Endpoint) DebugOccupancy() (busInUse, busQ, stagingInUse, stagingQ, wbufInUse, wbufQ, halQ int) {
-	return ep.bus.InUse(), ep.bus.QueueLen(),
-		ep.staging.InUse(), ep.staging.QueueLen(),
-		ep.writeBuf.InUse(), ep.writeBuf.QueueLen(), ep.hal.QueueLen()
-}

@@ -452,10 +452,6 @@ func TestAccessors(t *testing.T) {
 	if ep.Params().NumFIMMs != p.NumFIMMs {
 		t.Errorf("Params = %+v", ep.Params())
 	}
-	b1, b2, s1, s2, w1, w2, hq := ep.DebugOccupancy()
-	if b1+b2+s1+s2+w1+w2+hq != 0 {
-		t.Error("fresh endpoint has occupancy")
-	}
 }
 
 func TestForwardRequiresUpstream(t *testing.T) {

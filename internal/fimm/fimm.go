@@ -269,32 +269,6 @@ func (f *FIMM) NumPackages() int { return len(f.packages) }
 // Package exposes one NAND package (for the FTL and tests).
 func (f *FIMM) Package(i int) *nand.Package { return f.packages[i] }
 
-// Busy reports the module's single ready/busy wire: asserted while any
-// package executes or the channel is moving data.
-func (f *FIMM) Busy() bool {
-	if f.channel.InUse() > 0 {
-		return true
-	}
-	for _, pk := range f.packages {
-		if pk.Busy() {
-			return true
-		}
-	}
-	return false
-}
-
-// ChannelQueueLen reports how many transfers wait for the channel.
-func (f *FIMM) ChannelQueueLen() int { return f.channel.QueueLen() }
-
-// ChannelBusyNS reports the channel's accumulated busy time, for
-// utilisation sampling.
-func (f *FIMM) ChannelBusyNS() simx.Time { return f.channel.BusyNS() }
-
-// ChannelUtilizationSince reports channel utilisation over a window.
-func (f *FIMM) ChannelUtilizationSince(since simx.Time, busyAtSince simx.Time) float64 {
-	return f.channel.UtilizationSince(since, busyAtSince)
-}
-
 // Stats returns a snapshot of module activity, aggregating wear across
 // packages.
 func (f *FIMM) Stats() Stats {

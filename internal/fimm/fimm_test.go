@@ -207,36 +207,16 @@ func TestErrorsPropagate(t *testing.T) {
 	}
 }
 
-func TestBusyLine(t *testing.T) {
-	eng := simx.NewEngine()
-	f := New(eng, testParams())
-	if f.Busy() {
-		t.Error("fresh FIMM busy")
-	}
-	program(f, 0, []nand.Addr{{}}, func(Result) {})
-	if !f.Busy() {
-		t.Error("FIMM idle during program")
-	}
-	eng.Run()
-	if f.Busy() {
-		t.Error("FIMM busy after completion")
-	}
-}
-
 func TestChannelUtilization(t *testing.T) {
 	eng := simx.NewEngine()
 	p := testParams()
 	f := New(eng, p)
 	programOne(t, eng, f, 0, nand.Addr{})
-	base := eng.Now()
-	busy0 := f.ChannelBusyNS()
+	busy0 := f.Stats().ChannelBusy
 	read(f, 0, []nand.Addr{{}}, func(Result) {})
 	eng.Run()
-	u := f.ChannelUtilizationSince(base, busy0)
-	elapsed := eng.Now() - base
-	want := float64(p.PageTransferTime()) / float64(elapsed)
-	if u != want {
-		t.Errorf("utilization = %v, want %v", u, want)
+	if got := f.Stats().ChannelBusy - busy0; got != p.PageTransferTime() {
+		t.Errorf("channel busy over one read = %v, want one page transfer %v", got, p.PageTransferTime())
 	}
 }
 
@@ -306,9 +286,6 @@ func TestFIMMAccessors(t *testing.T) {
 	}
 	if f.Package(0) == nil {
 		t.Error("nil package")
-	}
-	if f.ChannelQueueLen() != 0 {
-		t.Errorf("fresh channel queue = %d", f.ChannelQueueLen())
 	}
 }
 

@@ -112,6 +112,10 @@ var hotCertified = []funcRef{
 	{"internal/simx", "Resource", "QueueLen"},
 	{"internal/simx", "Resource", "BusyNS"},
 	{"internal/simx", "Resource", "UtilizationSince"},
+	{"internal/simx", "FIFO", "Push"},
+	{"internal/simx", "FIFO", "Pop"},
+	{"internal/simx", "FIFO", "Front"},
+	{"internal/simx", "FIFO", "Len"},
 	// simcheck hooks: no-ops in default builds, diagnostic-only
 	// allocations under the simcheck tag (not a measured build)
 	{"internal/simx", "PoolCheck", "Checkout"},

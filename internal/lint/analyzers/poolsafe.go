@@ -83,16 +83,6 @@ var poolTable = []*poolSpec{
 		releases: []funcRef{{"internal/array", "Array", "recycleRef"}},
 	},
 	{
-		name: "pcie.rcOp", pkg: "internal/pcie", typ: "rcOp",
-		acquires: []funcRef{{"internal/pcie", "RootComplex", "newOp"}},
-		releases: []funcRef{{"internal/pcie", "RootComplex", "recycleOp"}},
-	},
-	{
-		name: "nand.opState", pkg: "internal/nand", typ: "opState",
-		acquires: []funcRef{{"internal/nand", "Package", "newOp"}},
-		releases: []funcRef{{"internal/nand", "Package", "recycleOp"}},
-	},
-	{
 		name: "fimm.fop", pkg: "internal/fimm", typ: "fop",
 		acquires: []funcRef{{"internal/fimm", "FIMM", "newOp"}},
 		releases: []funcRef{{"internal/fimm", "FIMM", "recycleOp"}},
@@ -132,16 +122,23 @@ type fieldKey struct {
 // parked in: the stored object's ownership rides the container from
 // that point (pkt.Meta carries the command across the fabric, ref.down
 // parks the page's packet, a link's sendQ holds credit-stalled sends and
-// its inflight ring the packets awaiting delivery, and the endpoint
-// queue holds admitted commands).
+// its inflight queue the packets awaiting delivery, the root complex's
+// injected queue holds host packets awaiting routing, and the endpoint
+// queue holds admitted commands). Pushing onto a simx.FIFO field is a
+// store into that field.
 var handoffStores = []fieldKey{
 	{"internal/pcie", "Packet", "Meta"},
 	{"internal/cluster", "Command", "Meta"},
 	{"internal/array", "pageRef", "down"},
 	{"internal/pcie", "Link", "sendQ"},
 	{"internal/pcie", "Link", "inflight"},
+	{"internal/pcie", "RootComplex", "injected"},
 	{"internal/cluster", "Endpoint", "pending"},
 }
+
+// fifoPush is the value queue's enqueue: x.f.Push(v) parks v in x.f
+// exactly as an assignment into x.f would.
+var fifoPush = funcRef{"internal/simx", "FIFO", "Push"}
 
 // handoffMarker is the audited escape hatch: a //simlint:handoff
 // comment on (or just above) the reported line silences poolsafe for
@@ -594,30 +591,58 @@ func (fa *psFunc) storedPool(rhs ast.Expr) *poolSpec {
 	info := fa.pass.TypesInfo
 	if call, ok := unparen(rhs).(*ast.CallExpr); ok && isBuiltinAppend(info, call) {
 		for _, a := range call.Args[1:] {
-			if t, ok := info.Types[a]; ok {
-				if p := poolOfType(t.Type); p != nil {
-					return p
-				}
+			if p := fa.valuePool(a); p != nil {
+				return p
 			}
 		}
 		return nil
 	}
-	if t, ok := info.Types[rhs]; ok {
-		return poolOfType(t.Type)
+	return fa.valuePool(rhs)
+}
+
+// valuePool reports the pool of a stored value: its own type, or a
+// pooled element of a composite literal (a queue entry holding a
+// pooled pointer parks that pointer too).
+func (fa *psFunc) valuePool(e ast.Expr) *poolSpec {
+	if t, ok := fa.pass.TypesInfo.Types[e]; ok {
+		if p := poolOfType(t.Type); p != nil {
+			return p
+		}
+	}
+	if lit, ok := unparen(e).(*ast.CompositeLit); ok {
+		for _, el := range lit.Elts {
+			if kv, ok := el.(*ast.KeyValueExpr); ok {
+				el = kv.Value
+			}
+			if p := fa.valuePool(el); p != nil {
+				return p
+			}
+		}
 	}
 	return nil
 }
 
 // handoffStored emits handoff actions for tracked idents the store
-// consumed (the RHS, or the appended elements).
+// consumed (the RHS, or the appended elements, looking inside
+// composite literals).
 func (fa *psFunc) handoffStored(rhs ast.Expr, out *[]action) {
 	info := fa.pass.TypesInfo
-	emit := func(e ast.Expr) {
-		if id, ok := unparen(e).(*ast.Ident); ok {
-			if v, ok := info.ObjectOf(id).(*types.Var); ok && fa.tracked[v] != nil {
-				*out = append(*out, action{kind: actHandoff, v: v, pos: id.Pos()})
+	var emit func(e ast.Expr)
+	emit = func(e ast.Expr) {
+		switch x := unparen(e).(type) {
+		case *ast.Ident:
+			if v, ok := info.ObjectOf(x).(*types.Var); ok && fa.tracked[v] != nil {
+				*out = append(*out, action{kind: actHandoff, v: v, pos: x.Pos()})
 				return
 			}
+		case *ast.CompositeLit:
+			for _, el := range x.Elts {
+				if kv, ok := el.(*ast.KeyValueExpr); ok {
+					el = kv.Value
+				}
+				emit(el)
+			}
+			return
 		}
 		fa.walkExpr(e, false, out)
 	}
@@ -720,6 +745,17 @@ func (fa *psFunc) walkExpr(e ast.Expr, sunk bool, out *[]action) {
 		case isSinkCall(info, e):
 			fa.walkExpr(receiverExpr(e), false, out)
 			fa.sinkArgs(e, out)
+		case matchFunc(calleeFunc(info, e), fifoPush) && len(e.Args) == 1:
+			// A push onto a field queue is a store into that field; a
+			// push onto a local queue dies with the frame, like an
+			// element store into a local slice.
+			if sel, ok := unparen(receiverExpr(e)).(*ast.SelectorExpr); ok {
+				fa.walkExpr(sel.X, false, out)
+				fa.storeCheck(sel.X, sel.Sel.Name, e.Args[0], e.Pos(), out)
+				return
+			}
+			fa.walkExpr(e.Fun, false, out)
+			fa.walkExpr(e.Args[0], false, out)
 		default:
 			fa.walkExpr(e.Fun, false, out)
 			for _, a := range e.Args {

@@ -103,10 +103,17 @@ func declaredFuncs(t *testing.T, dir string) map[string]bool {
 	return out
 }
 
-// recvTypeName strips the pointer from a receiver type.
+// recvTypeName strips the pointer and any type parameters from a
+// receiver type.
 func recvTypeName(e ast.Expr) string {
 	if star, ok := e.(*ast.StarExpr); ok {
 		e = star.X
+	}
+	switch x := e.(type) {
+	case *ast.IndexExpr:
+		e = x.X
+	case *ast.IndexListExpr:
+		e = x.X
 	}
 	if id, ok := e.(*ast.Ident); ok {
 		return id.Name

@@ -5,12 +5,24 @@
 // allowlist (rule d).
 package ps
 
-import "triplea/internal/pcie"
+import (
+	"triplea/internal/pcie"
+	"triplea/internal/simx"
+)
 
 // stash is NOT on the continuation allowlist: parking a pooled pointer
-// in it is rule (d)'s target.
+// in it, by assignment or by a push onto one of its queues, is rule
+// (d)'s target.
 type stash struct {
-	pkt *pcie.Packet
+	pkt     *pcie.Packet
+	queue   simx.FIFO[*pcie.Packet]
+	entries simx.FIFO[entry]
+}
+
+// entry is a queue element holding a pooled pointer.
+type entry struct {
+	pkt  *pcie.Packet
+	seen int
 }
 
 // ---- rule (a): leak on path ----
@@ -97,6 +109,15 @@ func illegalMapStore(p *pcie.Pool, m map[int]*pcie.Packet) {
 	m[0] = pkt // want `pooled pcie\.Packet stored into a map`
 }
 
+func illegalQueuePush(p *pcie.Pool, s *stash) {
+	pkt := p.Get()
+	s.queue.Push(pkt) // want `pooled pcie\.Packet stored into stash\.queue, outside the continuation allowlist`
+}
+
+func illegalQueueEntryPush(pkt *pcie.Packet, s *stash) {
+	s.entries.Push(entry{pkt: pkt, seen: 1}) // want `pooled pcie\.Packet stored into stash\.entries, outside the continuation allowlist`
+}
+
 // ---- sanctioned flows: no diagnostics ----
 
 // releasedEverywhere discharges on every path.
@@ -127,6 +148,13 @@ func metaStore(p *pcie.Pool, l *pcie.Link) {
 	carrier := p.Get()
 	carrier.Meta = pkt
 	l.Send(carrier, nil)
+}
+
+// localQueue parks a borrowed packet on a queue that dies with the
+// frame, like an element store into a local slice.
+func localQueue(pkt *pcie.Packet) {
+	var q simx.FIFO[entry]
+	q.Push(entry{pkt: pkt})
 }
 
 // returnTransfers hands ownership to the caller.

@@ -1,9 +1,12 @@
 // Package pcie is a miniature stand-in for the repository's real
 // internal/pcie, giving poolsafe fixtures the pooled Packet type, the
-// Pool acquire/release pair, and the Link.Send handoff sink the
-// analyzer's tables key on (registration matches by path suffix, so
-// this fake registers alongside the real package).
+// Pool acquire/release pair, the Link.Send handoff sink and the
+// registered Link.sendQ queue the analyzer's tables key on
+// (registration matches by path suffix, so this fake registers
+// alongside the real package).
 package pcie
+
+import "triplea/internal/simx"
 
 // Packet is the pooled object. Meta is the continuation field the
 // poolsafe allowlist sanctions.
@@ -41,10 +44,22 @@ type Receiver interface {
 	Receive(pkt *Packet, from *Link)
 }
 
-type Link struct{ dst Receiver }
+// Link.sendQ is on the continuation allowlist: pushing a pooled packet
+// (bare, or inside a queue entry) onto it is a sanctioned store.
+type Link struct {
+	dst   Receiver
+	sendQ simx.FIFO[stalledSend]
+}
+
+type stalledSend struct {
+	pkt   *Packet
+	since int
+}
 
 func (l *Link) Send(pkt *Packet, accepted func(bool)) {
-	if l.dst != nil {
-		l.dst.Receive(pkt, l)
+	if l.dst == nil {
+		l.sendQ.Push(stalledSend{pkt: pkt})
+		return
 	}
+	l.dst.Receive(pkt, l)
 }

@@ -1,6 +1,6 @@
 // Package simx is a miniature stand-in for the repository's real
 // internal/simx, giving fixtures the Time type, unit constants, and
-// the Engine/Resource scheduling surface the analyzers key on.
+// the Engine/Resource/FIFO scheduling surface the analyzers key on.
 package simx
 
 type Time int64
@@ -31,6 +31,11 @@ func (e *Engine) AtEvent(t Time, h Handler, arg uint64) {}
 type Resource struct{ inUse int }
 
 func (r *Resource) AcquireG(g Grantee, arg uint64) {}
+
+// FIFO is the value queue; Push parks its argument in the receiver.
+type FIFO[T any] struct{ items []T }
+
+func (q *FIFO[T]) Push(v T) { q.items = append(q.items, v) }
 
 type RNG struct{ state uint64 }
 

@@ -18,8 +18,8 @@ var ErrBadBlock = errors.New("nand: bad block")
 var ErrDeadDie = errors.New("nand: dead die")
 
 // FailBlock makes every future operation on the addressed block fail
-// with ErrBadBlock — the block-level read-fail fault. In-flight
-// operations already granted their die are unaffected.
+// with ErrBadBlock — the block-level read-fail fault. Operations
+// already executing on their die are unaffected.
 func (pk *Package) FailBlock(a Addr) {
 	if err := pk.checkAddr(a); err != nil {
 		panic(err)
@@ -59,8 +59,9 @@ func (pk *Package) FailDie(dieIdx int) {
 // timing.
 func (pk *Package) SetTimingScale(s float64) { pk.timeScale = s }
 
-// checkFaults runs at die-grant time alongside the state machine, so
-// queued operations observe faults injected while they waited.
+// checkFaults runs alongside the state machine when an operation
+// reaches the head of its die queue, so queued operations observe
+// faults injected while they waited.
 func (pk *Package) checkFaults(op Op, addrs []Addr) error {
 	for _, a := range addrs {
 		if pk.deadDies[a.Die] {

@@ -98,7 +98,6 @@ type Package struct {
 	dies   []*die
 
 	blocks map[int]*blockState // keyed by flat block id
-	freeOp *opState            // recycled operation nodes
 	stats  Stats
 
 	// Fault-injection state (fault.go). Nil maps and a zero scale mean
@@ -109,79 +108,62 @@ type Package struct {
 	timeScale  float64      // >0 scales cell times (injected stall)
 }
 
-// opState is the pooled per-operation state: it queues for the target
-// die (simx.Grantee), rides the cell-time event (simx.Handler), and is
-// recycled before the completion receiver runs. addrs is borrowed from
-// the caller for the duration of the operation.
-type opState struct {
-	pk     *Package
+// die is one flash die: a FIFO server whose operations run in
+// submission order. The head of q is the executing operation while busy
+// is set; the die itself handles its cell-time event.
+type die struct {
+	pk   *Package
+	q    simx.FIFO[dieOp]
+	busy bool
+	// cacheTag remembers the last page latched into the cache register so
+	// repeated reads of the hot page skip tR (cache-mode commands).
+	cacheTag int64
+}
+
+// dieOp is one queued or executing die operation. addrs is borrowed
+// from the caller until its completion receiver runs.
+type dieOp struct {
 	op     Op
 	addrs  []Addr
 	d      Done
 	issued simx.Time
-	die    *die
 	texe   simx.Time
-	next   *opState
-	ck     simx.PoolCheck
 }
 
-// OnGrant implements simx.Grantee: the die is ours; run the state
-// machine and start the cell operation.
-func (st *opState) OnGrant(arg uint64, _ simx.Time) {
-	pk := st.pk
-	// State-machine checks run once the die is granted, so queued
-	// sequential programs see the state their predecessors committed.
-	if err := pk.checkState(st.op, st.addrs); err != nil {
-		st.die.res.Release()
-		d := st.d
-		pk.recycleOp(st)
-		d.OnNandDone(0, err)
+// start runs the state machine on the head operation and starts its
+// cell operation. The checks run only once the op reaches the head, so
+// queued sequential programs see the state their predecessors committed
+// and any fault injected while they waited. A rejected head leaves the
+// queue and the next op starts before the rejected op's receiver runs.
+func (d *die) start() {
+	if d.q.Len() == 0 {
+		d.busy = false
 		return
 	}
-	st.texe = pk.execTime(st.op, st.addrs, st.die)
-	pk.eng.ScheduleEvent(st.texe, st, 0)
+	pk := d.pk
+	st := d.q.Front()
+	if err := pk.checkState(st.op, st.addrs); err != nil {
+		done := d.q.Pop().d
+		d.start()
+		done.OnNandDone(0, err)
+		return
+	}
+	d.busy = true
+	st.texe = pk.execTime(st.op, st.addrs, d)
+	pk.eng.ScheduleEvent(st.texe, d, 0)
 }
 
-// OnEvent implements simx.Handler: the cell time elapsed; commit.
-func (st *opState) OnEvent(arg uint64) {
-	pk := st.pk
-	pk.commit(st.op, st.addrs, st.die)
+// OnEvent implements simx.Handler: the head operation's cell time
+// elapsed; commit it and start the next one.
+func (d *die) OnEvent(uint64) {
+	pk := d.pk
+	st := d.q.Pop()
+	pk.commit(st.op, st.addrs, d)
 	pk.stats.BusyNS += st.texe
-	st.die.res.Release()
-	d, issued := st.d, st.issued
-	pk.recycleOp(st)
+	d.start()
 	// Report device-observed execution time including any die
 	// queueing: callers use it for laggard accounting.
-	d.OnNandDone(pk.eng.Now()-issued, nil)
-}
-
-func (pk *Package) newOp(op Op, addrs []Addr, d Done) *opState {
-	st := pk.freeOp
-	if st != nil {
-		pk.freeOp = st.next
-		st.ck.Checkout("nand.opState")
-		st.next = nil
-	} else {
-		st = &opState{pk: pk} //simlint:coldalloc pool miss: opState free-list refill
-		st.ck.Fresh("nand.opState")
-	}
-	st.op, st.addrs, st.d, st.issued = op, addrs, d, pk.eng.Now()
-	st.die = pk.dies[addrs[0].Die]
-	return st
-}
-
-func (pk *Package) recycleOp(st *opState) {
-	st.addrs, st.d, st.die = nil, nil, nil
-	st.ck.Release("nand.opState")
-	st.next = pk.freeOp
-	pk.freeOp = st
-}
-
-type die struct {
-	res *simx.Resource
-	// cacheTag remembers the last page latched into the cache register so
-	// repeated reads of the hot page skip tR (cache-mode commands).
-	cacheTag int64
+	st.d.OnNandDone(pk.eng.Now()-st.issued, nil)
 }
 
 // NewPackage builds a package; invalid params panic (a construction-time
@@ -197,10 +179,7 @@ func NewPackage(eng *simx.Engine, params Params) *Package {
 		blocks: make(map[int]*blockState),
 	}
 	for i := range pk.dies {
-		pk.dies[i] = &die{
-			res:      simx.NewResource(eng, fmt.Sprintf("die%d", i), 1),
-			cacheTag: -1,
-		}
+		pk.dies[i] = &die{pk: pk, cacheTag: -1}
 	}
 	return pk
 }
@@ -218,22 +197,6 @@ func (pk *Package) Stats() Stats {
 		}
 	}
 	return s
-}
-
-// DieBusy reports whether the addressed die is currently executing.
-func (pk *Package) DieBusy(dieIdx int) bool {
-	return pk.dies[dieIdx].res.InUse() > 0
-}
-
-// Busy reports whether any die is executing — the package-level
-// ready/busy pin (FIMMs wire all packages' R/B# onto one line).
-func (pk *Package) Busy() bool {
-	for _, d := range pk.dies {
-		if d.res.InUse() > 0 {
-			return true
-		}
-	}
-	return false
 }
 
 func (pk *Package) checkAddr(a Addr) error {
@@ -421,8 +384,11 @@ func (pk *Package) startArrayOp(op Op, addrs []Addr, d Done) {
 		return
 	}
 
-	st := pk.newOp(op, addrs, d)
-	st.die.res.AcquireG(st, 0)
+	dd := pk.dies[addrs[0].Die]
+	dd.q.Push(dieOp{op: op, addrs: addrs, d: d, issued: pk.eng.Now()})
+	if !dd.busy {
+		dd.start()
+	}
 }
 
 func (pk *Package) checkState(op Op, addrs []Addr) error {

@@ -1,6 +1,8 @@
 package nand
 
 import (
+	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -220,6 +222,59 @@ func TestSameDieSerializes(t *testing.T) {
 	}
 }
 
+// TestRejectedHeadStartsNextOp fails a block while a program into it
+// waits behind a read on the same die. The program fails when it
+// reaches the head of the die, and the read queued behind it starts at
+// that same instant, before the failed program's receiver runs.
+func TestRejectedHeadStartsNextOp(t *testing.T) {
+	eng := simx.NewEngine()
+	p := testParams()
+	pk := NewPackage(eng, p)
+	hot := Addr{}
+	program(pk, []Addr{hot}, func(_ simx.Time, err error) {
+		if err != nil {
+			t.Fatalf("setup program: %v", err)
+		}
+	})
+	eng.Run()
+	start := eng.Now()
+
+	var order []string
+	var failAt, cachedAt simx.Time
+	read(pk, []Addr{hot}, func(_ simx.Time, err error) { order = append(order, "read") })
+	program(pk, []Addr{{Block: 2}}, func(texe simx.Time, err error) {
+		order = append(order, "program")
+		failAt = eng.Now()
+		if !errors.Is(err, ErrBadBlock) || texe != 0 {
+			t.Errorf("program into the failed block: texe %v, err %v; want 0, ErrBadBlock", texe, err)
+		}
+		// The cached read behind it counts its cache hit when it starts.
+		if pk.Stats().CacheHits != 1 {
+			t.Error("the op behind the failed program had not started when its receiver ran")
+		}
+	})
+	read(pk, []Addr{hot}, func(_ simx.Time, err error) {
+		order = append(order, "cached read")
+		cachedAt = eng.Now()
+		if err != nil {
+			t.Errorf("cached read: %v", err)
+		}
+	})
+	pk.FailBlock(Addr{Block: 2})
+	eng.Run()
+
+	unit := p.TCmdOverhead + p.TRead + p.TECCPerPage
+	if failAt != start+unit {
+		t.Errorf("program failed at %v, want %v (when the read ahead of it finished)", failAt, start+unit)
+	}
+	if cachedAt != start+unit+p.TCmdOverhead {
+		t.Errorf("cached read finished at %v, want %v", cachedAt, start+unit+p.TCmdOverhead)
+	}
+	if want := []string{"program", "read", "cached read"}; !slices.Equal(order, want) {
+		t.Errorf("receivers ran in order %v, want %v", order, want)
+	}
+}
+
 func TestMultiPlaneProgram(t *testing.T) {
 	eng := simx.NewEngine()
 	p := testParams()
@@ -298,19 +353,6 @@ func TestAddrValidation(t *testing.T) {
 		if got == nil {
 			t.Errorf("addr %v accepted", a)
 		}
-	}
-}
-
-func TestBusyReflectsDieOccupancy(t *testing.T) {
-	eng := simx.NewEngine()
-	pk := NewPackage(eng, testParams())
-	program(pk, []Addr{{}}, func(_ simx.Time, err error) {})
-	if !pk.Busy() || !pk.DieBusy(0) || pk.DieBusy(1) {
-		t.Error("busy flags wrong during program")
-	}
-	eng.Run()
-	if pk.Busy() {
-		t.Error("package busy after all ops completed")
 	}
 }
 

@@ -48,7 +48,7 @@ type Accepted interface {
 // its credit at now serialises over [max(now, freeAt), +xfer), and one
 // event delivers it after propagation and the receiver's routing
 // latency. Delivery instants never decrease in send order, so the link
-// itself handles every delivery event, popping its in-flight ring.
+// itself handles every delivery event, popping its in-flight queue.
 type Link struct {
 	eng  *simx.Engine
 	name string
@@ -64,17 +64,12 @@ type Link struct {
 	maxCred int
 	dst     Receiver
 
-	// inflight is a ring of the packets holding a credit that have not
-	// been delivered yet, in send order. A credit returns only after
-	// its packet is delivered, so maxCred slots always suffice.
-	inflight      []*Packet
-	inHead, inLen int
+	// inflight holds the packets holding a credit that have not been
+	// delivered yet, in send order. A credit returns only after its
+	// packet is delivered, so at most maxCred are ever in flight.
+	inflight simx.FIFO[*Packet]
 
-	// sendQ[sendHead:] are the credit-stalled sends, oldest first.
-	// ReturnCredit copies the pending suffix down once the consumed
-	// prefix reaches half the slice.
-	sendQ    []stalledSend
-	sendHead int
+	sendQ simx.FIFO[stalledSend] // credit-stalled sends, oldest first
 
 	// rateScale > 0 stretches serialisation time — an injected link
 	// degradation, e.g. lanes trained down after an error (fault.go).
@@ -119,7 +114,6 @@ func NewLink(eng *simx.Engine, name string, bytesPerSec units.BytesPerSec, propa
 		credits:     credits,
 		maxCred:     credits,
 		dst:         dst,
-		inflight:    make([]*Packet, credits),
 	}
 }
 
@@ -150,26 +144,20 @@ func (l *Link) Send(pkt *Packet, accepted Accepted) {
 		l.transmit(pkt, accepted)
 		return
 	}
-	l.sendQ = append(l.sendQ, stalledSend{pkt, l.eng.Now(), accepted}) //simlint:coldalloc amortized: send-queue growth bounded by outstanding packets
+	l.sendQ.Push(stalledSend{pkt, l.eng.Now(), accepted})
 }
 
 // ReturnCredit hands one VC buffer entry back to the sender, releasing
 // the oldest stalled packet if any.
 func (l *Link) ReturnCredit() {
-	if l.sendHead == len(l.sendQ) {
+	if l.sendQ.Len() == 0 {
 		l.credits++
 		if l.credits > l.maxCred {
 			panic("pcie: credit overflow on " + l.name)
 		}
 		return
 	}
-	s := l.sendQ[l.sendHead]
-	l.sendHead++
-	if 2*l.sendHead >= len(l.sendQ) {
-		n := copy(l.sendQ, l.sendQ[l.sendHead:])
-		clear(l.sendQ[n:])
-		l.sendQ, l.sendHead = l.sendQ[:n], 0
-	}
+	s := l.sendQ.Pop()
 	stalled := l.eng.Now() - s.queued
 	s.pkt.CreditWait += stalled
 	l.creditStall += stalled
@@ -187,7 +175,7 @@ func (l *Link) transmit(pkt *Packet, accepted Accepted) {
 	if accepted != nil {
 		accepted.OnLinkAccepted(pkt)
 	}
-	if l.inLen == len(l.inflight) {
+	if l.inflight.Len() == l.maxCred {
 		panic("pcie: more packets in flight than credits on " + l.name)
 	}
 	now := l.eng.Now()
@@ -198,33 +186,21 @@ func (l *Link) transmit(pkt *Packet, accepted Accepted) {
 	pkt.WireTime += xfer
 	l.packets++
 	l.bytes += pkt.Payload + TLPOverheadBytes
-	i := l.inHead + l.inLen
-	if i >= len(l.inflight) {
-		i -= len(l.inflight)
-	}
-	l.inflight[i] = pkt
-	l.inLen++
+	l.inflight.Push(pkt)
 	l.eng.AtEvent(l.freeAt+l.arrive, l, 0)
 }
 
 // OnEvent implements simx.Handler: the oldest in-flight packet arrives
 // at the receiver.
 func (l *Link) OnEvent(uint64) {
-	pkt := l.inflight[l.inHead]
-	l.inflight[l.inHead] = nil
-	l.inHead++
-	if l.inHead == len(l.inflight) {
-		l.inHead = 0
-	}
-	l.inLen--
-	l.dst.Receive(pkt, l)
+	l.dst.Receive(l.inflight.Pop(), l)
 }
 
 // CreditsAvailable reports the sender-visible free credit count.
 func (l *Link) CreditsAvailable() int { return l.credits }
 
 // PendingSends reports packets stalled for credits.
-func (l *Link) PendingSends() int { return len(l.sendQ) - l.sendHead }
+func (l *Link) PendingSends() int { return l.sendQ.Len() }
 
 // Packets reports how many packets have been put on the wire.
 func (l *Link) Packets() uint64 { return l.packets }

@@ -317,7 +317,55 @@ func TestRootComplexInjectAndReceive(t *testing.T) {
 	if cpl.RouteTime != 200 {
 		t.Errorf("upstream RouteTime = %v, want 200", cpl.RouteTime)
 	}
+
+	// Same-instant injections, and a second burst injected while the
+	// first still waits out the routing latency: each packet is routed
+	// routeLatency after its injection, in injection order.
+	type routed struct {
+		addr uint64
+		at   simx.Time
+	}
+	var got []routed
+	rc2 := NewRootComplex(eng, 200, func(p *Packet) int {
+		got = append(got, routed{p.Addr, eng.Now()})
+		return int(p.Addr % 2)
+	}, func(*Packet) {})
+	rc2.AddPort(NewLink(eng, "q0", 16_000_000_000, 100, 8, &sink{autoACK: true}))
+	rc2.AddPort(NewLink(eng, "q1", 16_000_000_000, 100, 8, &sink{autoACK: true}))
+	t0 := eng.Now()
+	var pkts []*Packet
+	inject := func(n int) {
+		for i := 0; i < n; i++ {
+			pkt := &Packet{Addr: uint64(len(pkts)), Kind: MemRead}
+			pkts = append(pkts, pkt)
+			rc2.Inject(pkt)
+		}
+	}
+	inject(4)
+	eng.ScheduleEvent(50, injectLater(func() { inject(3) }), 0)
+	eng.Run()
+	if len(got) != len(pkts) {
+		t.Fatalf("routed %d of %d injected packets", len(got), len(pkts))
+	}
+	for i, r := range got {
+		want := t0 + 200
+		if i >= 4 {
+			want += 50
+		}
+		if r.addr != uint64(i) || r.at != want {
+			t.Errorf("routing #%d: packet %d at %v, want packet %d at %v", i, r.addr, r.at, i, want)
+		}
+		if pkts[i].RouteTime != 200 {
+			t.Errorf("packet %d RouteTime = %v, want 200", i, pkts[i].RouteTime)
+		}
+	}
 }
+
+// injectLater adapts a closure to simx.Handler for scheduling test
+// stimuli.
+type injectLater func()
+
+func (f injectLater) OnEvent(uint64) { f() }
 
 func TestRootComplexBadPortPanics(t *testing.T) {
 	eng := simx.NewEngine()

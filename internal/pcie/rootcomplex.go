@@ -17,50 +17,22 @@ type RootComplex struct {
 	ports        []*Link   // downstream links to switches
 	deliver      func(pkt *Packet)
 
-	freeOp *rcOp // recycled routing nodes
+	// injected holds the host packets waiting out the routing latency.
+	// The latency is constant, so their events fire in push order and
+	// the RC itself handles each one by popping the oldest.
+	injected simx.FIFO[*Packet]
 }
 
-// rcOp is the pooled per-packet state of an injected packet: it rides
-// the route-latency event (simx.Handler) to its port.
-type rcOp struct {
-	rc   *RootComplex
-	pkt  *Packet
-	next *rcOp
-	ck   simx.PoolCheck
-}
-
-// OnEvent implements simx.Handler: routing latency elapsed; send the
-// packet on its port.
-func (n *rcOp) OnEvent(uint64) {
-	rc, pkt := n.rc, n.pkt
-	rc.recycleOp(n)
+// OnEvent implements simx.Handler: the oldest injected packet's routing
+// latency elapsed; send it on its port.
+func (rc *RootComplex) OnEvent(uint64) {
+	pkt := rc.injected.Pop()
 	pkt.RouteTime += rc.routeLatency
 	port := rc.route(pkt) //simlint:coldalloc static topology dispatch: route bound once at build time
 	if port < 0 || port >= len(rc.ports) {
 		panic(fmt.Sprintf("pcie: RC route for %v returned bad port %d", pkt, port))
 	}
 	rc.ports[port].Send(pkt, nil)
-}
-
-func (rc *RootComplex) newOp(pkt *Packet) *rcOp {
-	n := rc.freeOp
-	if n != nil {
-		rc.freeOp = n.next
-		n.ck.Checkout("pcie.rcOp")
-		n.next = nil
-	} else {
-		n = &rcOp{rc: rc} //simlint:coldalloc pool miss: rcOp free-list refill
-		n.ck.Fresh("pcie.rcOp")
-	}
-	n.pkt = pkt
-	return n
-}
-
-func (rc *RootComplex) recycleOp(n *rcOp) {
-	n.pkt = nil
-	n.ck.Release("pcie.rcOp")
-	n.next = rc.freeOp
-	rc.freeOp = n
 }
 
 // NewRootComplex builds a root complex. route selects the downstream
@@ -86,7 +58,8 @@ func (rc *RootComplex) NumPorts() int { return len(rc.ports) }
 // route selects, after the routing latency.
 func (rc *RootComplex) Inject(pkt *Packet) {
 	pkt.ck.InUse("pcie.Packet")
-	rc.eng.ScheduleEvent(rc.routeLatency, rc.newOp(pkt), 0)
+	rc.injected.Push(pkt)
+	rc.eng.ScheduleEvent(rc.routeLatency, rc, 0)
 }
 
 // Receive implements Receiver for upstream packets arriving from

@@ -1,8 +1,8 @@
 package simx
 
 // Resource models a server with a fixed number of slots and a FIFO wait
-// queue: a shared bus (capacity 1), a flash die (capacity 1), or a
-// multi-entry buffer drain. AcquireG either grants a slot immediately
+// queue: a shared bus or a FIMM channel (capacity 1), or a multi-entry
+// buffer drain. AcquireG either grants a slot immediately
 // or enqueues the caller; the grantee receives the time spent waiting,
 // which the storage models attribute to link- or storage-contention.
 //
@@ -14,12 +14,7 @@ type Resource struct {
 	capacity int
 	inUse    int
 
-	// waitQ[waitHead:] are the queued acquirers, oldest first. Release
-	// copies the pending suffix down once the consumed prefix reaches
-	// half the slice, so storage stays within about twice the longest
-	// backlog.
-	waitQ    []waiter
-	waitHead int
+	waitQ FIFO[waiter] // queued acquirers, oldest first
 
 	// busy-time integral bookkeeping
 	busyNS     Time // accumulated nanoseconds during which at least one slot was held
@@ -47,14 +42,11 @@ func NewResource(eng *Engine, name string, capacity int) *Resource {
 	return &Resource{eng: eng, name: name, capacity: capacity, lastChange: eng.Now()}
 }
 
-// Name reports the resource's diagnostic name.
-func (r *Resource) Name() string { return r.name }
-
 // InUse reports how many slots are currently held.
 func (r *Resource) InUse() int { return r.inUse }
 
 // QueueLen reports how many acquirers are waiting.
-func (r *Resource) QueueLen() int { return len(r.waitQ) - r.waitHead }
+func (r *Resource) QueueLen() int { return r.waitQ.Len() }
 
 func (r *Resource) integrate() {
 	now := r.eng.Now()
@@ -77,7 +69,7 @@ func (r *Resource) AcquireG(g Grantee, arg uint64) {
 		g.OnGrant(arg, 0)
 		return
 	}
-	r.waitQ = append(r.waitQ, waiter{g: g, arg: arg, arrived: r.eng.Now()}) //simlint:coldalloc amortized: wait-queue growth
+	r.waitQ.Push(waiter{g: g, arg: arg, arrived: r.eng.Now()})
 }
 
 // TryAcquire takes a slot if one is free, reporting success. It never queues.
@@ -97,16 +89,10 @@ func (r *Resource) Release() {
 	}
 	r.integrate()
 	r.inUse--
-	if r.waitHead == len(r.waitQ) {
+	if r.waitQ.Len() == 0 {
 		return
 	}
-	w := r.waitQ[r.waitHead]
-	r.waitHead++
-	if 2*r.waitHead >= len(r.waitQ) {
-		n := copy(r.waitQ, r.waitQ[r.waitHead:])
-		clear(r.waitQ[n:])
-		r.waitQ, r.waitHead = r.waitQ[:n], 0
-	}
+	w := r.waitQ.Pop()
 	r.inUse++
 	w.g.OnGrant(w.arg, r.eng.Now()-w.arrived)
 }

@@ -242,8 +242,8 @@ func TestRNGFork(t *testing.T) {
 func TestResourceIntrospection(t *testing.T) {
 	eng := NewEngine()
 	r := NewResource(eng, "intro", 2)
-	if r.Name() != "intro" || r.capacity != 2 {
-		t.Errorf("accessors: %q/%d", r.Name(), r.capacity)
+	if r.capacity != 2 || r.InUse() != 0 || r.QueueLen() != 0 {
+		t.Errorf("fresh resource: capacity %d, in use %d, queued %d", r.capacity, r.InUse(), r.QueueLen())
 	}
 }
 
